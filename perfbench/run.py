@@ -13,7 +13,8 @@ hash-exact against its oracle; a mismatch or an exception counts as failed
 and makes the command exit 1.
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs the traced
-program in ``perfbench/traced.py`` instead and prints the per-layer metrics.
+program in ``perfbench/traced.py`` over the same workload's state instead
+and prints the per-layer metrics.
 The last stdout line is the result object; the line before it is the
 session and host stamp.
 """
@@ -39,10 +40,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 # Fixed store size: choose_shards sizes the materialize pass count from it,
-# so the pass count per workload is the same on every host.  At 256 MiB the
-# traced window merge (1k-page base) stalls in Ray Data's idle detector,
-# one task per 10-20 s; 384 MiB is the smallest size tried that does not.
-OBJECT_STORE_BYTES = 384 << 20
+# so the pass count per workload is the same on every host.  At this size
+# one pass holds up to ~3k pages (~6.7 KB of pages parquet each), which keeps
+# the set-up of each run short enough for the driver's time budget.  A
+# window merge stalls in Ray Data's idle detector (one task per 10-20 s)
+# once its base is large for the store: here an 800-page base took 54 s
+# where a 600-page base took 3-4 s, so the traced merge uses 400 pages.
+OBJECT_STORE_BYTES = 192 << 20
 # The longest AF_UNIX path Ray accepts is 107 bytes, and the deepest socket
 # path adds 64 below the temp dir: /session_<date>_<time>_<us>_<pid>/sockets/
 # plasma_store.
@@ -51,22 +55,22 @@ MAX_RAY_TEMP_DIR = 43
 
 @dataclass(frozen=True)
 class Sizes:
-    """Corpus sizes in pages.  ``build`` feeds kg_build and the traced
-    query/merge graph (one materialize pass); ``remat`` feeds
-    kg_rematerialize and the traced flagship, and must be large enough for
-    choose_shards to pick at least two passes (4.8k pages make 3; at 2.4k
-    pages and 2 passes the op was so short that host CPU steal moved it
-    ~3x as much as the steal share); ``window`` is ~10% of the merge base
-    and uses page ids after it."""
+    """Corpus sizes in pages.  ``build`` feeds kg_build and must stay
+    within one materialize pass (2.5k pages are ~84% of the one-pass
+    limit); ``remat`` feeds kg_rematerialize and must need at least two
+    (3.5k pages are ~117% of it).  The traced window merge folds ``window``
+    pages, with ids after the base, into a ``merge_base``-page graph;
+    ``sample`` pages feed the traced serial hot-path loop."""
 
     build: int
     remat: int
+    merge_base: int
     window: int
-    sample: int  # pages in the traced serial hot-path loop
+    sample: int
 
 
-FULL = Sizes(build=1000, remat=4800, window=100, sample=200)
-TINY = Sizes(build=120, remat=120, window=12, sample=20)
+FULL = Sizes(build=2500, remat=3500, merge_base=400, window=40, sample=200)
+TINY = Sizes(build=120, remat=120, merge_base=60, window=12, sample=20)
 
 
 class Bench:
@@ -146,9 +150,8 @@ class Bench:
     # -- corpora ---------------------------------------------------------
     def corpus(self, name: str, n: int, start: int = 0) -> str:
         """Write pages ``start .. start+n-1`` of this seed's corpus as
-        uncompressed parquet under ``corpus/<name>``; returns the dir.
-        Uncompressed, the pages weigh ~22 KB each, which is what lets a
-        corpus of a few thousand pages need two materialize passes."""
+        parquet with the default compression, as ``write_pages_dataset``
+        writes it, under ``corpus/<name>``; returns the dir."""
         import pyarrow as pa
         import pyarrow.compute as pc
         import ray.data as rd
@@ -163,7 +166,7 @@ class Bench:
 
         rd.range(n, override_num_blocks=2 * num_cpus()).map_batches(
             gen, batch_format="pyarrow"
-        ).write_parquet(out, compression="none")
+        ).write_parquet(out)
         return out
 
     def path(self, *parts: str) -> str:
@@ -353,6 +356,9 @@ def build_graph(pages: str, out: str):
 class KgBuild:
     """Cold run_kg_pipeline into an empty out_dir; one materialize pass."""
 
+    # the traced spans that cover what op() does (trace.overhead_s)
+    op_spans = ("extract", "sameas", "materialize")
+
     def __init__(self, b: Bench, pages: int | None = None):
         self.b = b
         n = pages or b.sizes.build
@@ -381,6 +387,8 @@ class KgRematerialize(KgBuild):
     """run_kg_pipeline over an out_dir whose raw checkpoint is intact but
     whose partitions and manifest are gone: canonicalize + materialize
     only, with at least two materialize passes."""
+
+    op_spans = ("sameas", "materialize")
 
     def __init__(self, b: Bench):
         super().__init__(b, b.sizes.remat)
@@ -424,11 +432,27 @@ def run_once(w) -> tuple[bool, float, int, int]:
     return w.check(), wall, triples, rss.peak
 
 
-def measure(bench: Bench, workload: str, seconds: float) -> tuple[dict, dict]:
+def prepare(bench: Bench, workload: str):
+    """The workload's set-up: corpus, oracle, state and one warm-up op."""
     w = WORKLOAD_CLASSES[workload](bench)
     ok, *_ = bench.timed_setup("warmup_s", run_once, w)
     if not ok:
         raise SystemExit(f"{workload}: warm-up output failed its oracle")
+    return w
+
+
+def check_passes(bench: Bench, workload: str, passes: int) -> None:
+    """The pass counts the full-scale workloads are sized for."""
+    if bench.sizes != FULL:
+        return
+    if workload == "kg_build" and passes != 1:
+        raise SystemExit(f"kg_build picked {passes} passes, expected 1")
+    if workload == "kg_rematerialize" and passes < 2:
+        raise SystemExit(f"kg_rematerialize picked {passes} passes, expected >= 2")
+
+
+def measure(bench: Bench, workload: str, seconds: float) -> tuple[dict, dict]:
+    w = prepare(bench, workload)
     walls, tps, rss, failed = [], [], [], 0
     cpu0 = cpu_ticks()
     t_end = time.perf_counter() + seconds
@@ -454,12 +478,7 @@ def measure(bench: Bench, workload: str, seconds: float) -> tuple[dict, dict]:
     stamp["passes"] = w.passes()
     stamp["samples"] = len(walls)
     stamp["wall_s_all"] = [round(x, 4) for x in walls]
-    if bench.sizes == FULL:  # the pass counts the workloads are sized for
-        if workload == "kg_build" and stamp["passes"] != 1:
-            raise SystemExit(f"kg_build picked {stamp['passes']} passes, expected 1")
-        if workload == "kg_rematerialize" and stamp["passes"] < 2:
-            raise SystemExit(
-                f"kg_rematerialize picked {stamp['passes']} passes, expected >= 2")
+    check_passes(bench, workload, stamp["passes"])
     attempted = len(walls) + failed
     metrics = {}
     if walls:
@@ -494,7 +513,7 @@ def main(argv=None) -> int:
         if args.trace:
             from traced import traced_run  # perfbench/traced.py
 
-            result, stamp = traced_run(bench)
+            result, stamp = traced_run(bench, args.workload)
         else:
             result, stamp = measure(bench, args.workload, args.seconds)
         stamp.update(

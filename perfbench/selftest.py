@@ -2,13 +2,13 @@
 
     python3 perfbench/selftest.py [--holdout-seed 9001]
 
-1. At tiny scale, every workload and the traced run finish, and each prints
-   exactly the metric names and units BENCHMARK.json declares.
-2. Two traced runs with one seed report the same counts.
+1. At tiny scale, every workload finishes untraced and traced, and each run
+   prints exactly the metric names and units BENCHMARK.json declares.
+2. Two traced runs of each workload with one seed report the same counts.
 3. The oracle gates are not vacuous: a graph copy with one row dropped, and
    a query result with one binding dropped, fail their gates.
 4. At full scale, a seed not used while the benchmark was built passes
-   every gate on every workload and in the traced run.
+   every gate on every workload, untraced and traced.
 
 Exits 1 on the first failed check.
 """
@@ -101,25 +101,25 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
 
+    counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
     for w in names:
         check_metrics(invoke(w, args.seed, 0, "tiny"), spec["end_to_end"], f"tiny {w}")
-    first = invoke(names[0], args.seed, 1, "tiny")
-    check_metrics(first, spec["per_layer"], "tiny traced")
-    second = invoke(names[0], args.seed, 1, "tiny")
-    counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
-    differ = {k for k in counts
-              if first["metrics"][k]["value"] != second["metrics"][k]["value"]}
-    if differ:
-        raise SystemExit(f"FAIL traced counts differ across two runs: {sorted(differ)}")
-    print(f"ok   {len(counts)} traced counts repeat exactly across two runs")
+        first = invoke(w, args.seed, 1, "tiny")
+        check_metrics(first, spec["per_layer"], f"tiny traced {w}")
+        second = invoke(w, args.seed, 1, "tiny")
+        differ = {k for k in counts
+                  if first["metrics"][k]["value"] != second["metrics"][k]["value"]}
+        if differ:
+            raise SystemExit(f"FAIL {w} traced counts differ across two runs: {sorted(differ)}")
+        print(f"ok   {w}: {len(counts)} traced counts repeat exactly across two runs")
 
     gates_not_vacuous(args.seed)
 
     for w in names:
-        invoke(w, args.holdout_seed, 0, "full")
-        print(f"ok   full {w} passes every gate with held-out seed {args.holdout_seed}")
-    invoke(names[0], args.holdout_seed, 1, "full")
-    print(f"ok   full traced run passes every gate with held-out seed {args.holdout_seed}")
+        for trace in (0, 1):
+            invoke(w, args.holdout_seed, trace, "full")
+            print(f"ok   full {w} trace={trace} passes every gate "
+                  f"with held-out seed {args.holdout_seed}")
     return 0
 
 

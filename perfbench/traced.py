@@ -1,25 +1,27 @@
 """Traced run: per-layer metrics from spans around calls into each layer's
 public functions, recorded here, outside the package.
 
-One program, the same for every workload, so every per-layer metric is
-measured in every traced run:
+``--trace 1 --workload W`` sets up W exactly as the untraced run does
+(corpus, oracle, state, one warm-up op), then:
 
-1. a serial loop in this process over the first ``sizes.sample`` pages of the
-   seed's corpus (the same pages open every workload's corpus), timing
-   parse, rules, link, work derivation and table build per page;
-2. the flagship re-composed from public functions with each boundary
-   forced: extract + pk-partitioned checkpoint write, sameAs + symmetry
-   closure, materialize.  It runs on the kg_rematerialize corpus, so the
-   materialize loop makes at least two passes; its graph must pass the same
-   oracle as an untraced run_kg_pipeline over that corpus, timed here too
-   for ``trace.overhead_s``;
-3. three BGP queries (a star, a 3-hop chain and a join on the hot creator
-   key) over the graph of the kg_build corpus, each gated by DuckDB;
-4. a window merge into that graph, gated by the oracle over the base and
-   window pages together.  The merge base is the kg_build corpus, not the
-   larger graph above: at the fixed store size a merge into a base of
-   ~2.4k pages stalls in Ray Data's idle detector (one task per 10-20 s),
-   which would time that timer instead.
+1. runs W's operation untraced ``UNTRACED_REPEATS`` times, each gated by its
+   oracle; ``trace.overhead_s`` is the summed spans of step 3 that cover
+   W's operation minus the median of these walls;
+2. a serial loop in this process over the first ``sizes.sample`` pages of
+   the seed's corpus (the same pages open every corpus), timing parse,
+   rules, link, work derivation and table build per page;
+3. the flagship re-composed from public functions over W's corpus, each
+   boundary forced: extract + pk-partitioned checkpoint write, sameAs +
+   symmetry closure, materialize (one pass on kg_build's corpus, at least
+   two on kg_rematerialize's).  Its graph must pass W's oracle;
+4. three BGP queries (a star, a 3-hop chain and a join on the hot creator
+   key) over that graph, each gated by DuckDB;
+5. a window merge into a small base graph, gated by the oracle over the
+   base and window pages together (see ``OBJECT_STORE_BYTES`` for why the
+   base is small).
+
+Every traced run emits every per-layer metric; the layers of step 3 and 4
+are measured on the traced workload's own corpus and graph.
 """
 
 from __future__ import annotations
@@ -32,16 +34,20 @@ import time
 
 from run import (
     Bench,
-    hash_sql,
     build_graph,
+    check_passes,
     dir_bytes,
     flagship_oracle,
     graph_glob,
     graph_hash,
+    hash_sql,
     passes_for,
+    prepare,
+    run_once,
 )
 
 SERIAL_REPEATS = 3
+UNTRACED_REPEATS = 3
 
 DC = "http://purl.org/dc/terms/"
 QUERIES = {
@@ -161,6 +167,54 @@ class SpillWatch:
         return sum(v for f, v in self.sizes.items() if f not in self._before)
 
 
+class ReadWatch:
+    """Bytes read through read syscalls (``rchar``) by this process and all
+    its descendants (Ray's GCS, raylet and workers) while active.  Each
+    process is sampled every 50 ms and counted from its first sample, or
+    from zero if it started meanwhile.  The sampler's own reads of /proc
+    are subtracted."""
+
+    def __init__(self):
+        import psutil  # vendored by Ray
+
+        self._psutil = psutil
+        self._me = psutil.Process()
+        self._first: dict[int, int] = {}
+        self._last: dict[int, int] = {}
+        self._own = 0
+        self._stop = threading.Event()
+
+    def _scan(self, new_from_zero: bool) -> None:
+        own0 = self._me.io_counters().read_chars
+        for p in [self._me] + self._me.children(recursive=True):
+            try:
+                n = p.io_counters().read_chars
+            except (self._psutil.NoSuchProcess, self._psutil.AccessDenied):
+                continue
+            self._first.setdefault(p.pid, 0 if new_from_zero else n)
+            self._last[p.pid] = n
+        self._own += self._me.io_counters().read_chars - own0
+
+    def _loop(self):
+        while not self._stop.wait(0.05):
+            self._scan(True)
+
+    def __enter__(self):
+        self._scan(False)
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join()
+        self._scan(True)
+
+    @property
+    def bytes(self) -> int:
+        return sum(n - self._first[pid] for pid, n in self._last.items()) - self._own
+
+
 def parquet_rows(path: str) -> int:
     import pyarrow.parquet as pq
 
@@ -224,9 +278,9 @@ def serial_hot_path(pages, m: dict) -> None:
     m["stages.link.mentions_per_page"] = (n_mention / len(rows), "count")
 
 
-def staged_flagship(b: Bench, pages: str, out: str, m: dict) -> float:
+def staged_flagship(b: Bench, pages: str, out: str, m: dict) -> dict:
     """run_kg_pipeline's disk-checkpoint path re-composed from public
-    functions, each boundary forced.  Returns the summed span seconds."""
+    functions, each boundary forced.  Returns each span's seconds."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
@@ -272,9 +326,8 @@ def staged_flagship(b: Bench, pages: str, out: str, m: dict) -> float:
         glob.glob(os.path.join(ckpt, "pk=*", "*.parquet"))
         + glob.glob(os.path.join(sameas_dir, "*.parquet"))
     )
-    in_bytes = sum(os.path.getsize(f) for f in read_files)
     nblocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    with SpillWatch(b.ray_tmp) as spill:
+    with SpillWatch(b.ray_tmp) as spill, ReadWatch() as reads:
         t0 = time.perf_counter()
         edges = rd.read_parquet(
             read_files, columns=TRIPLE_COLS, override_num_blocks=nblocks
@@ -301,67 +354,32 @@ def staged_flagship(b: Bench, pages: str, out: str, m: dict) -> float:
     m["stages.materialize.dedup_ratio"] = (manifest.triple_count / rows_in, "ratio")
     m["stages.materialize.shards"] = (shards, "count")
     m["stages.materialize.partitions"] = (manifest.num_partitions, "count")
-    # every pass re-reads every checkpoint and sameAs file
-    m["stages.materialize.bytes_read"] = (shards * in_bytes, "bytes")
+    m["stages.materialize.bytes_read"] = (reads.bytes, "bytes")
     m["stages.materialize.bytes_written"] = (
         sum(dir_bytes(d) for d in glob.glob(os.path.join(out, "part=*"))), "bytes")
     m["stages.materialize.spilled_bytes"] = (spill.bytes, "bytes")
-    return extract_s + sameas_s + mat_s
+    return {"extract": extract_s, "sameas": sameas_s, "materialize": mat_s}
 
 
-def traced_run(b: Bench) -> tuple[dict, dict]:
-    import pyarrow.parquet as pq
-
+def merge_window(b: Bench, m: dict, gates: dict) -> dict:
+    """Fold a window into a small base graph; returns the merge stamp."""
     from marc2rdf_ray.config import PipelineConfig
     from marc2rdf_ray.pipelines.incremental import merge_window_into_graph
-    from marc2rdf_ray.sources.pages import synthesize_pages
 
     sz = b.sizes
-    m: dict[str, tuple] = {}
-    gates: dict[str, bool] = {}
-
-    pages = b.timed_setup("corpus_s", b.corpus, "base", sz.remat)
-    merge_base = b.timed_setup("corpus_s", b.corpus, "merge/base", sz.build)
-    window = b.timed_setup("corpus_s", b.corpus, "merge/window", sz.window, sz.build)
-    sample = b.timed_setup("corpus_s", synthesize_pages, sz.sample, b.seed)
-    expect = b.timed_setup(
-        "oracle_s", flagship_oracle, b.con, os.path.join(pages, "*.parquet"))
-    expect_merged = b.timed_setup(
-        "oracle_s", flagship_oracle, b.con,
-        b.path("corpus", "merge", "*", "*.parquet"))
-    # the warm-up operation builds the graph the queries and the merge use
-    graph = b.path("graph")
-    b.timed_setup("warmup_s", build_graph, merge_base, graph)
-
     t0 = time.perf_counter()
-    build_graph(pages, b.path("untraced"))
-    untraced_s = time.perf_counter() - t0
-    gates["untraced_build"] = graph_hash(b.con, b.path("untraced")) == expect
-
-    serial_hot_path(sample, m)
-
-    staged = b.path("staged")
-    spans = staged_flagship(b, pages, staged, m)
-    gates["staged_build"] = graph_hash(b.con, staged) == expect
-    m["trace.overhead_s"] = (spans - untraced_s, "s")
-
-    files = sorted(glob.glob(graph_glob(graph)))
-    for k, q in QUERIES.items():
-        t0 = time.perf_counter()
-        res = run_query(files, q)
-        m[f"ops.bgp.{k}_s"] = (time.perf_counter() - t0, "s")
-        table = to_arrow(res)
-        m[f"ops.bgp.{k}_bindings"] = (table.num_rows, "count")
-        gates[f"query_{k}"] = (
-            bindings_hash(b.con, table, q) == query_oracle(b.con, graph, q))
-    m["ops.bgp.scan_triples"] = (
-        sum(pq.read_metadata(f).num_rows for f in files), "count")
+    base = b.corpus("merge/base", sz.merge_base)
+    window = b.corpus("merge/window", sz.window, sz.merge_base)
+    expect = flagship_oracle(b.con, b.path("corpus", "merge", "*", "*.parquet"))
+    graph = b.path("merge_graph")
+    build_graph(base, graph)
+    prep_s = time.perf_counter() - t0
 
     before = file_states(graph)
     t0 = time.perf_counter()
     manifest = merge_window_into_graph(window, graph, PipelineConfig())
     m["pipelines.incremental.merge_s"] = (time.perf_counter() - t0, "s")
-    gates["merged"] = graph_hash(b.con, graph) == expect_merged
+    gates["merged"] = graph_hash(b.con, graph) == expect
     after = file_states(graph)
     rewritten = sum(
         size for f, (size, mt) in after.items()
@@ -371,16 +389,59 @@ def traced_run(b: Bench) -> tuple[dict, dict]:
         len(manifest.extra["touched_partitions"]), "count")
     m["pipelines.incremental.bytes_rewritten"] = (rewritten, "bytes")
     m["pipelines.incremental.write_amplification"] = (rewritten / win_ckpt, "ratio")
+    return {"prep_s": prep_s,
+            "base": {"pages": sz.merge_base, "bytes": dir_bytes(base)},
+            "window": {"pages": sz.window, "bytes": dir_bytes(window)}}
+
+
+def traced_run(b: Bench, workload: str) -> tuple[dict, dict]:
+    import pyarrow.parquet as pq
+
+    from marc2rdf_ray.sources.pages import synthesize_pages
+
+    m: dict[str, tuple] = {}
+    gates: dict[str, bool] = {}
+
+    w = prepare(b, workload)
+    untraced = []
+    for i in range(UNTRACED_REPEATS):
+        ok, wall, _, _ = run_once(w)
+        gates[f"untraced_{i}"] = ok
+        untraced.append(wall)
+    untraced_s = statistics.median(untraced)
+
+    serial_hot_path(synthesize_pages(b.sizes.sample, b.seed), m)
+
+    staged = b.path("staged")
+    spans = staged_flagship(b, w.pages, staged, m)
+    gates["staged_build"] = graph_hash(b.con, staged) == w.expect
+    m["trace.overhead_s"] = (sum(spans[k] for k in w.op_spans) - untraced_s, "s")
+    check_passes(b, workload, m["stages.materialize.shards"][0])
+
+    files = sorted(glob.glob(graph_glob(staged)))
+    for k, q in QUERIES.items():
+        t0 = time.perf_counter()
+        res = run_query(files, q)
+        m[f"ops.bgp.{k}_s"] = (time.perf_counter() - t0, "s")
+        table = to_arrow(res)
+        m[f"ops.bgp.{k}_bindings"] = (table.num_rows, "count")
+        gates[f"query_{k}"] = (
+            bindings_hash(b.con, table, q) == query_oracle(b.con, staged, q))
+    m["ops.bgp.scan_triples"] = (
+        sum(pq.read_metadata(f).num_rows for f in files), "count")
+
+    merge = merge_window(b, m, gates)
 
     for k in ("ray_init_s", "corpus_s", "oracle_s", "warmup_s"):
         m[f"setup.{k}"] = (b.setup[k], "s")
 
     failed = [k for k, ok in gates.items() if not ok]
     stamp = {"gates": gates, "passes": m["stages.materialize.shards"][0],
-             "untraced_wall_s": untraced_s,
-             "corpus": {"pages": sz.remat, "bytes": dir_bytes(pages)},
-             "merge_base": {"pages": sz.build, "bytes": dir_bytes(merge_base)},
-             "window": {"pages": sz.window, "bytes": dir_bytes(window)}}
+             "untraced_wall_s_all": untraced, "spans_s": spans,
+             "merge": merge, **w.stamp}
+    if "extract" in w.op_spans:
+        # extraction's share of the untraced operation's wall time
+        stamp["extract_share"] = spans["extract"] / untraced_s
     result = {
         "attempted": len(gates),
         "failed": len(failed),
