@@ -402,7 +402,7 @@ def traced_run(b: Bench, workload: str) -> tuple[dict, dict]:
     m: dict[str, tuple] = {}
     gates: dict[str, bool] = {}
 
-    w = prepare(b, workload)
+    w, _ = prepare(b, workload)
     untraced = []
     for i in range(UNTRACED_REPEATS):
         ok, wall, _, _ = run_once(w)
