@@ -2,7 +2,8 @@
 
 Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) in a fresh local Ray session with
-``num_cpus=$RAY_GRAFT_CPUS`` (default 32) and prints ONE JSON line:
+``num_cpus=$RAY_GRAFT_CPUS`` (default: the CPUs this process may run on,
+``len(os.sched_getaffinity(0))``) and prints ONE JSON line:
 
   {"metric": "...", "value": <headline seconds>, "unit": "sec",
    "queries": {...per-query seconds...}, "sf": ..., "num_cpus": N,
@@ -10,11 +11,13 @@ Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 
 Headline = the flagship KG pipeline (extract -> link -> canonicalize ->
 materialize, BASELINE.json metric) over a synthetic pages corpus sized
-10 pages per `documents` row of the sf dir (deterministic, cached in /tmp).
+``$M2R_PAGES_PER_DOC`` (default 40) pages per `documents` row of the sf dir
+(deterministic, cached under ``$M2R_BENCH_CACHE``, default /dev/shm).
 
-``--scaling``: runs the headline twice in fresh subprocesses at 8 and 32
-CPUs on the SAME corpus and reports throughput at both plus scaling
-efficiency (throughput ratio / CPU ratio), per the two-cluster-size rule.
+``--scaling``: runs the headline in fresh subprocesses at
+``$M2R_SCALE_LO`` (default 8) and ``$M2R_SCALE_HI`` (default 4x that) CPUs
+on the SAME corpus and reports throughput at both plus scaling efficiency
+(throughput ratio / CPU ratio), per the two-cluster-size rule.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(
+    os.environ.get("RAY_GRAFT_CPUS", str(len(os.sched_getaffinity(0))))
+)
 PAGES_PER_DOC = int(os.environ.get("M2R_PAGES_PER_DOC", "40"))
 # tmpfs by default: on a real cluster every node brings its own disk/S3
 # bandwidth, so a single shared local disk would serialize IO that scales
@@ -78,8 +83,7 @@ def run_headline(pages_dir: str) -> tuple[float, int, list[float]]:
         out_dir = os.path.join(CACHE_ROOT, f"graph_out_{NUM_CPUS}")
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
-        manifest = run_kg_pipeline(pages_dir, out_dir, PipelineConfig(),
-                                   checkpoint_mode="disk")
+        manifest = run_kg_pipeline(pages_dir, out_dir, PipelineConfig())
         walls.append(time.time() - t0)
         triples = manifest.triple_count
     walls.sort()

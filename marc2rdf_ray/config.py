@@ -33,11 +33,6 @@ class PipelineConfig:
 
     # engine knobs (sized for multi-node scale; see SURVEY.md §4.2)
     batch_size: int = 1024          # pages per batch (html rows are wide)
-    triples_batch_size: int = 8192
-    link_concurrency: int = 4      # actor-pool size for the linker stage
-    # None => adaptive: materialize_graph sizes partition count from input
-    # bytes so each partition-write task stays within a memory budget
-    num_output_partitions: Optional[int] = None
     # >1 => sharded materialize (spill-cap loop): S sequential passes over
     # contiguous partition-id ranges, ~1/S object-store footprint each,
     # at the cost of re-reading the pruned checkpoint S times.

@@ -289,7 +289,7 @@ def compile_object_pipeline(
     steps the rule actually uses, with every regex prebound -- no
     9-kwarg call, no per-call option dispatch, no _compile cache lookups
     (the ~0.25 ms/page of generate_objects dispatch found by
-    tools/profile_flagship.py --hotpath).  Semantics are byte-identical
+    perfbench/run.py --trace 1).  Semantics are byte-identical
     to :func:`generate_objects` by construction and by differential
     test (tests/test_textops.py runs both over the option lattice);
     generate_objects stays as the readable spec mirror of

@@ -16,8 +16,8 @@ over all windows' pages):
   (J4, stages/canonicalize.py:102-113).  The merge therefore recomputes
   the closure GLOBALLY from the pk=1 checkpoint slivers of every window
   (~1-2% of rows -- this is exactly why the raw checkpoint is partitioned
-  on the sameAs-key predicate, pipelines/kg.py:283-297), DROPS all old
-  sameAs rows in touched partitions, and re-adds the new closure.
+  on the sameAs-key predicate, pipelines/kg.checkpoint_raw_triples), DROPS
+  all old sameAs rows in touched partitions, and re-adds the new closure.
 - Touched partitions = partitions receiving new raw triples UNION
   partitions where the recomputed closure differs from the stored sameAs
   edges (detected distributedly: per-partition distinct row-hash set
@@ -38,7 +38,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..config import PipelineConfig
 from ..state import fsio
@@ -50,8 +49,7 @@ from ..state.manifest import (
     write_manifest,
 )
 from ..vocab import OWL_SAMEAS
-
-TRIPLE_COLS = ["subj", "pred", "obj", "obj_kind", "lang", "src"]
+from .kg import TRIPLE_COLS, checkpoint_raw_triples, stage_sameas_closure
 
 
 def _win_id(sig: str) -> str:
@@ -75,16 +73,9 @@ def merge_window_into_graph(
     present -- it is the durable source of the sameAs key sliver; each
     merged window adds its own ``_raw_win=<id>`` checkpoint beside it.
     """
-    import ray
     import ray.data as rd
 
-    from ..stages.canonicalize import (
-        sameas_by_shared_key,
-        symmetry_closure,
-    )
-    from ..stages.link import build_alias_dict
     from ..stages.materialize import write_sorted_partition
-    from .kg import extract_triples, sameas_key_pred_for
 
     config = config or PipelineConfig()
     fs, out_dir = fsio.resolve_fs(out_dir, filesystem)
@@ -104,6 +95,14 @@ def merge_window_into_graph(
             "on the old rules while the manifest certifies the new ones). "
             "Re-run the FULL pipeline over all windows after a rule change "
             "(the recompute semantics of U1-U6)."
+        )
+    if existing.extra.get("link") != link:
+        raise ValueError(
+            f"merge_window_into_graph: the graph at {out_dir} was built "
+            f"with link={existing.extra.get('link')!r} but this merge uses "
+            f"link={link!r}; the merged graph would carry entity mentions "
+            "for only some windows.  Merge with the base run's link setting "
+            "or re-run the FULL pipeline."
         )
     num_partitions = existing.num_partitions
 
@@ -129,27 +128,10 @@ def merge_window_into_graph(
 
     # ---- 1) extract + checkpoint the new window's raw triples ----------
     win_ckpt = fsio.join(out_dir, f"_raw_win={wid}")
-    marker = win_ckpt + ".complete"
-    ckpt_sig = f"{win_sig}:{config.ruleset_hash()}:link={int(link)}"
-    if (fsio.read_text(fs, marker) or "").strip() != ckpt_sig:
-        fsio.rmtree(fs, win_ckpt)
-        fsio.delete_file(fs, marker)
-        if alias_dict is None and link:
-            alias_dict = build_alias_dict()
-        pages = rd.read_parquet(new_pages_path, columns=["url", "html"])
-        raw = extract_triples(pages, config, alias_dict if link else None)
-        key_pred = sameas_key_pred_for(config)
-
-        def add_pk(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "pk",
-                pc.cast(pc.equal(b["pred"], pa.scalar(key_pred)), pa.int8()),
-            )
-
-        raw.map_batches(add_pk, batch_format="pyarrow").write_parquet(
-            win_ckpt, partition_cols=["pk"], filesystem=fs
-        )
-        fsio.write_text_atomic(fs, marker, ckpt_sig)
+    checkpoint_raw_triples(
+        new_pages_path, win_ckpt, fs, config, alias_dict, link=link,
+        sig=win_sig,
+    )
 
     # ---- 2) global sameAs closure from ALL windows' pk=1 slivers -------
     if not fsio.isdir(fs, fsio.join(out_dir, "_raw_triples")):
@@ -160,27 +142,15 @@ def merge_window_into_graph(
             "sameAs edge.  Keep the raw checkpoint alongside the graph, or "
             "re-run the full pipeline."
         )
-    sliver_files = []
-    for d in fsio.listdir(fs, out_dir):
-        if d == "_raw_triples" or d.startswith("_raw_win="):
-            pk1 = fsio.join(out_dir, d, "pk=1")
-            if fsio.isdir(fs, pk1):
-                sliver_files.extend(fsio.list_files_recursive(fs, pk1))
+    ckpts = [
+        fsio.join(out_dir, d)
+        for d in fsio.listdir(fs, out_dir)
+        if d == "_raw_triples"
+        or (d.startswith("_raw_win=") and not d.endswith(".complete"))
+    ]
     closure_dir = fsio.join(out_dir, "_merge_sameas")
-    fsio.rmtree(fs, closure_dir)
-    have_closure = False
-    if sliver_files:
-        key_triples = rd.read_parquet(
-            sliver_files, columns=TRIPLE_COLS, filesystem=fs
-        )
-        closure = symmetry_closure(
-            sameas_by_shared_key(key_triples, sameas_key_pred_for(config)),
-            dedup=False,  # dedup rides the partition rewrite
-        )
-        closure.write_parquet(closure_dir, filesystem=fs)
-        have_closure = any(
-            f.endswith(".parquet") for f in fsio.listdir(fs, closure_dir)
-        )
+    # the closure rows are undeduped: dedup rides the partition rewrite
+    have_closure = stage_sameas_closure(ckpts, closure_dir, fs, config)
 
     # ---- 3) touched-partition detection --------------------------------
     from ..functions.hashing import bucket_codes

@@ -2,10 +2,11 @@
 reference's harvest->convert->update->enrich->rules lifecycle, SURVEY.md §3.3):
 
     read_parquet(pages)                       # url + html only (prune at read)
-      -> map_batches(KGExtract, ...)          # fused: parse + rules + linking
-      -> write_parquet(raw triples)           # converter output checkpoint
-      -> dedup + sameAs + symmetry closure    # canonicalization shuffles
-      -> materialize: sorted NT/Parquet partitioned by hash(subj) + manifest
+      -> map_batches(extract_fn, ...)         # fused: parse + rules + linking
+      -> write_parquet(raw triples, pk=)      # converter output checkpoint
+      -> sameAs + symmetry closure            # staged from the pk=1 sliver
+      -> materialize: dedup + sorted NT/Parquet partitioned by hash(subj)
+         + manifest
 
 Stage-fusion note: HTML parse, rule-driven triple extraction, entity linking
 and per-record work propagation all happen in ONE map_batches pass -- the
@@ -17,6 +18,10 @@ manifestations per work inside Virtuoso.  Here the work key is minted
 deterministically per record by the combine rule, so the propagation
 (work -> creator / isbn edges) derives per record with NO join; the global
 dedup collapses repeats.  Equivalent output, no store.
+
+The raw checkpoint and the sameAs staging are shared with the windowed
+merge (pipelines/incremental.py): :func:`checkpoint_raw_triples` and
+:func:`stage_sameas_closure` are the one copy of each.
 """
 
 from __future__ import annotations
@@ -24,17 +29,15 @@ from __future__ import annotations
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PipelineConfig
-from ..stages.canonicalize import (
-    dedup_triples,
-    sameas_by_shared_key,
-    symmetry_closure,
-)
+from ..stages.canonicalize import sameas_by_shared_key, symmetry_closure
 from ..stages.extract import page_to_record
-from ..stages.link import EntityLinker, build_alias_dict
+from ..stages.link import MENTIONS_PRED, EntityLinker, build_alias_dict
 from ..stages.materialize import materialize_graph
 from ..stages.triples import triples_to_table
+from ..state import fsio
 from ..vocab import DEFAULT_VOCAB
 
 ISBN_PRED = DEFAULT_VOCAB.resolve("BIBO.isbn")
@@ -69,14 +72,12 @@ def derive_work_triples(triples: list[tuple], src: str) -> list[tuple]:
 class KGExtract:
     """Fused pages -> triples stage (rules + entity linking + work derive).
 
-    Callable class: rule set compiled and alias dictionary fetched ONCE per
-    actor in ``__init__`` (broadcast via ray.put upstream)."""
+    Built once per worker process (see ``_STAGE_CACHE``): the rule set is
+    compiled and the alias dictionary fetched in ``__init__``."""
 
-    def __init__(self, config: PipelineConfig, alias_ref=None,
-                 derive_works: bool = True):
+    def __init__(self, config: PipelineConfig, alias_ref=None):
         self.engine = config.build_engine()
         self.linker = EntityLinker(alias_ref) if alias_ref is not None else None
-        self.derive_works = derive_works
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
@@ -87,20 +88,13 @@ class KGExtract:
         for url, html in zip(urls, htmls):
             rec, text = page_to_record(url, html)
             triples = self.engine.convert(rec)
-            if self.derive_works:
-                triples.extend(derive_work_triples(triples, url))
+            triples.extend(derive_work_triples(triples, url))
             if self.linker is not None:
                 for uri, _score in self.linker.link_text(text):
-                    triples.append((url, self.linker_pred(), uri, "uri", None))
+                    triples.append((url, MENTIONS_PRED, uri, "uri", None))
             rows.extend(triples)
             srcs.extend([url] * len(triples))
         return triples_to_table(rows, srcs)
-
-    @staticmethod
-    def linker_pred() -> str:
-        from ..stages.link import MENTIONS_PRED
-
-        return MENTIONS_PRED
 
 
 # worker-process-global stage cache: stateless tasks reuse long-lived Ray
@@ -110,34 +104,24 @@ class KGExtract:
 _STAGE_CACHE: dict = {}
 
 
-def make_extract_fn(config: PipelineConfig, alias_ref, derive_works: bool):
-    key = (config.ruleset_hash(), str(alias_ref), derive_works)
+def make_extract_fn(config: PipelineConfig, alias_ref):
+    key = (config.ruleset_hash(), str(alias_ref))
 
     def extract_fn(batch):
         stage = _STAGE_CACHE.get(key)
         if stage is None:
-            stage = KGExtract(config, alias_ref, derive_works)
+            stage = KGExtract(config, alias_ref)
             _STAGE_CACHE[key] = stage
         return stage(batch)
 
     return extract_fn
 
 
-def extract_triples(
-    pages_ds,
-    config: PipelineConfig,
-    alias_dict=None,
-    *,
-    concurrency: Optional[int] = None,
-    derive_works: bool = True,
-    use_actors: bool = False,
-):
+def extract_triples(pages_ds, config: PipelineConfig, alias_dict=None):
     """pages Dataset -> raw triples Dataset (converter semantics: duplicate
-    triples preserved, SURVEY.md §2.7 O3).
-
-    Default: stateless tasks with a worker-global compiled-rules cache
-    (elastic, no pool startup).  ``use_actors=True`` switches to an
-    explicit actor pool (useful when init is heavy, e.g. a real model).
+    triples preserved, SURVEY.md §2.7 O3).  Stateless tasks with a
+    worker-global compiled-rules cache (elastic, no pool startup); no
+    alias dictionary => no entity linking.
 
     ``config.triples_hook`` (the user-script replacement, SURVEY.md
     §2.10) runs here on every raw batch, fused right behind extraction,
@@ -146,23 +130,11 @@ def extract_triples(
     import ray
 
     alias_ref = ray.put(alias_dict) if alias_dict is not None else None
-    if use_actors:
-        if not concurrency:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            concurrency = max(2, ncpu - 2)
-        out = pages_ds.map_batches(
-            KGExtract,
-            fn_constructor_args=(config, alias_ref, derive_works),
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-            concurrency=concurrency,
-        )
-    else:
-        out = pages_ds.map_batches(
-            make_extract_fn(config, alias_ref, derive_works),
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-        )
+    out = pages_ds.map_batches(
+        make_extract_fn(config, alias_ref),
+        batch_format="pyarrow",
+        batch_size=config.batch_size,
+    )
     if config.triples_hook is not None:
         out = out.map_batches(
             _make_hook_fn(config.triples_hook), batch_format="pyarrow"
@@ -197,28 +169,85 @@ def _make_hook_fn(hook):
     return apply
 
 
-def canonical_edges(raw_triples_ds, *, sameas_key_pred: str = ISBN_PRED,
-                    pre_dedup: bool = True, key_triples=None):
-    """Raw triples -> canonical edge set: exact dedup + sameAs by shared
-    identifier + symmetry closure (J4/J6).
+def checkpoint_raw_triples(
+    pages, ckpt: str, fs, config: PipelineConfig, alias_dict, *,
+    link: bool, sig: str,
+) -> None:
+    """Extract ``pages`` (a pages parquet path or Dataset) into the raw
+    triples checkpoint ``ckpt``, unless a completed checkpoint of the same
+    run is already there.
 
-    ``pre_dedup=False`` skips the standalone dedup shuffle and emits the
-    raw union -- for consumers that dedup inside their own subject-hash
-    shuffle (materialize_graph(dedup=True)), saving an entire exchange.
+    The run identity is (input signature ``sig``, rule set, ``link``).  The
+    marker ``<ckpt>.complete`` carrying it is written after write_parquet
+    returns, so a matching marker certifies the whole checkpoint and skips
+    re-extraction -- the dominant cost of a restart.  ``sig=""`` (a Dataset
+    input has no signature) always re-extracts and writes no marker.
 
-    ``key_triples``: optional pre-filtered dataset containing (at least)
-    every triple with ``pred == sameas_key_pred`` -- e.g. the ``pk=1``
-    partition of the raw checkpoint -- so the sameAs stage does not
-    re-scan the full converter output."""
-    sameas = symmetry_closure(
-        sameas_by_shared_key(
-            key_triples if key_triples is not None else raw_triples_ds,
-            sameas_key_pred,
-        ),
-        dedup=pre_dedup,
-    )
-    base = dedup_triples(raw_triples_ds) if pre_dedup else raw_triples_ds
-    return base.union(sameas)
+    The checkpoint is PARTITIONED on "is this a sameAs-key triple": the
+    sameAs stage then reads only the pk=1 sliver (~1-2% of rows) instead
+    of re-scanning the full converter output -- at 100 TB that second full
+    pass is real money.  pk is a partition directory, not a data column,
+    so the main re-read is unchanged."""
+    import ray.data as rd
+
+    ident = f"{sig}:{config.ruleset_hash()}:link={int(link)}" if sig else ""
+    marker = ckpt + ".complete"
+    if (
+        ident
+        and fsio.isdir(fs, ckpt)
+        and (fsio.read_text(fs, marker) or "").strip() == ident
+    ):
+        return
+    fsio.rmtree(fs, ckpt)
+    fsio.delete_file(fs, marker)
+    if isinstance(pages, str):
+        pages = rd.read_parquet(pages, columns=["url", "html"])
+    if alias_dict is None and link:
+        alias_dict = build_alias_dict()
+    key_pred = pa.scalar(sameas_key_pred_for(config))
+
+    def add_pk(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "pk", pc.cast(pc.equal(b["pred"], key_pred), pa.int8())
+        )
+
+    extract_triples(pages, config, alias_dict if link else None).map_batches(
+        add_pk, batch_format="pyarrow"
+    ).write_parquet(ckpt, partition_cols=["pk"], filesystem=fs)
+    if ident:
+        fsio.write_text_atomic(fs, marker, ident)
+
+
+def stage_sameas_closure(
+    ckpts: list[str], out: str, fs, config: PipelineConfig
+) -> bool:
+    """Write ``symmetry_closure(sameas_by_shared_key(...))`` over the pk=1
+    slivers of the raw checkpoints ``ckpts`` to parquet under ``out``
+    (replacing it).  Returns whether any closure rows were written.
+
+    Undeduped: dedup rides the consumer's subject-hash shuffle.  STAGED to
+    parquet instead of union-ed into the materialize sort: Union(big-read,
+    closure) feeding an all-to-all deadlocks the streaming executor's
+    memory accounting at 1M pages -- the Union's queued bundles count
+    against the execution budget, which blocks downstream admission, which
+    keeps the Union from draining (observed: 0/466 blocks for 20 min with
+    every input backpressured).  The closure output is ~1% of the triples,
+    so the extra parquet round-trip is noise, and it makes the sameAs edges
+    a durable resume artifact like the checkpoint."""
+    import ray.data as rd
+
+    fsio.rmtree(fs, out)
+    key_files = []
+    for ckpt in ckpts:
+        key_files.extend(fsio.list_files_recursive(fs, fsio.join(ckpt, "pk=1")))
+    if not key_files:
+        return False
+    key_triples = rd.read_parquet(key_files, columns=TRIPLE_COLS, filesystem=fs)
+    symmetry_closure(
+        sameas_by_shared_key(key_triples, sameas_key_pred_for(config)),
+        dedup=False,
+    ).write_parquet(out, filesystem=fs)
+    return bool(fsio.list_files_recursive(fs, out))
 
 
 def run_kg_pipeline(
@@ -228,10 +257,7 @@ def run_kg_pipeline(
     *,
     alias_dict=None,
     link: bool = True,
-    concurrency: Optional[int] = None,
     num_partitions: Optional[int] = None,
-    raw_checkpoint_dir: Optional[str] = None,
-    checkpoint_mode: str = "disk",
     preserve_src_prefixes: Optional[list] = None,
     filesystem=None,
 ):
@@ -247,21 +273,22 @@ def run_kg_pipeline(
     reach them (VERDICT r2 #1).  The pages INPUT resolves independently
     (Ray's readers handle URIs natively).
 
-    The raw converter output is ALWAYS checkpointed to Parquet (default
-    ``<out_dir>/_raw_triples``) before canonicalization.  This is (a) the
+    The run identity is (input signature, rule set, ``link``): the
+    manifest records ``link`` in ``extra``, and a manifest or checkpoint of
+    another identity is recomputed, never reused.
+
+    The raw converter output is ALWAYS checkpointed to Parquet
+    (``<out_dir>/_raw_triples``) before canonicalization.  This is (a) the
     converter-output sink (K1 analog -- duplicates preserved), (b) the
     resume point, and (c) load-bearing for execution: canonicalization
-    consumes the triples in multiple branches (dedup + sameAs + closure),
-    and re-deriving each branch from the pages DAG would instantiate one
-    extraction actor pool PER BRANCH -- enough idle reserved CPUs to
-    starve the shuffle tasks on a small cluster.  One extraction pass,
-    then cheap parquet re-reads.
+    consumes the triples in two branches (sameAs closure + the main
+    materialize read), and re-deriving each branch from the pages DAG would
+    re-run extraction per branch.  One extraction pass, then cheap parquet
+    re-reads.
     """
     import ray
-
     import ray.data as rd
 
-    from ..state import fsio
     from ..state.manifest import (
         input_signature,
         list_input_files,
@@ -270,153 +297,59 @@ def run_kg_pipeline(
     )
 
     config = config or PipelineConfig()
-    if alias_dict is None and link:
-        alias_dict = build_alias_dict()
-
     fs, out_dir = fsio.resolve_fs(out_dir, filesystem)
+    identity = {"link": link}
 
     if isinstance(pages_path, str):
         input_paths = [pages_path]
         # resume short-circuit BEFORE any extraction work
         sig = input_signature(list_input_files(pages_path))
         existing = read_manifest(out_dir, filesystem=fs)
-        if matches(existing, sig, config.ruleset_hash()):
+        if (
+            matches(existing, sig, config.ruleset_hash())
+            and existing.extra.items() >= identity.items()
+        ):
             return existing
-        pages_ds = rd.read_parquet(pages_path, columns=["url", "html"])
     else:
-        pages_ds = pages_path
         input_paths = []
         sig = ""
 
-    raw = extract_triples(
-        pages_ds, config, alias_dict if link else None, concurrency=concurrency
+    ckpt = fsio.join(out_dir, "_raw_triples")
+    checkpoint_raw_triples(
+        pages_path, ckpt, fs, config, alias_dict, link=link, sig=sig
     )
-    key_triples = None
-    if checkpoint_mode == "memory":
-        # pin raw triples in the object store: multiple canonicalization
-        # branches read the SAME blocks, no disk round-trip.  The streaming
-        # executor spills to disk under memory pressure, so this stays safe
-        # at scale; use "disk" when the raw converter output must survive
-        # the job (it is also the finer-grained resume point).
-        raw = raw.materialize()
-    else:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        ckpt = raw_checkpoint_dir or fsio.join(out_dir, "_raw_triples")
-        # crashed-run resume for the EXTRACTION phase: a completion marker
-        # (written after write_parquet returns) certifies the checkpoint
-        # matches (inputs, rules); a matching marker skips re-extraction
-        # entirely -- the dominant cost of a restart.
-        ckpt_sig = f"{sig}:{config.ruleset_hash()}" if sig else ""
-        marker = ckpt + ".complete"
-        ckpt_ok = False
-        if ckpt_sig and fsio.isdir(fs, ckpt):
-            text = fsio.read_text(fs, marker)
-            ckpt_ok = text is not None and text.strip() == ckpt_sig
-        if not ckpt_ok:
-            fsio.rmtree(fs, ckpt)
-            fsio.delete_file(fs, marker)
-
-            # checkpoint PARTITIONED on "is this a sameAs-key triple": the
-            # sameAs stage then reads only the pk=1 sliver (~1-2% of rows)
-            # instead of re-scanning the full converter output -- at 100 TB
-            # that second full pass is real money.  pk is a partition
-            # directory, not a data column, so the main re-read is unchanged.
-            def add_pk(b: pa.Table) -> pa.Table:
-                return b.append_column(
-                    "pk",
-                    pc.cast(
-                        pc.equal(
-                            b["pred"], pa.scalar(sameas_key_pred_for(config))
-                        ),
-                        pa.int8(),
-                    ),
-                )
-
-            raw.map_batches(add_pk, batch_format="pyarrow").write_parquet(
-                ckpt, partition_cols=["pk"], filesystem=fs
-            )
-            if ckpt_sig:
-                fsio.write_text_atomic(fs, marker, ckpt_sig)
-        # STAGE the sameAs closure to parquet instead of union-ing it into
-        # the materialize sort: Union(big-read, closure) feeding an
-        # all-to-all deadlocks the streaming executor's memory accounting
-        # at 1M pages -- the Union's queued bundles count against the
-        # execution budget, which blocks downstream admission, which keeps
-        # the Union from draining (observed: 0/466 blocks for 20 min with
-        # every input backpressured).  The closure output is ~1% of the
-        # triples, so the extra parquet round-trip is noise, and it makes
-        # the sameAs edges a durable resume artifact like the checkpoint.
-        read_dirs = [
-            fsio.join(ckpt, d)
-            for d in fsio.listdir(fs, ckpt)
-            if d.startswith("pk=")
-        ] or [ckpt]
-        sameas_dir = fsio.join(out_dir, "_sameas_triples")
-        fsio.rmtree(fs, sameas_dir)
-        pk1 = fsio.join(ckpt, "pk=1")
-        if fsio.isdir(fs, pk1):
-            key_triples = rd.read_parquet(
-                pk1, columns=TRIPLE_COLS, filesystem=fs
-            )
-            sameas = symmetry_closure(
-                sameas_by_shared_key(
-                    key_triples, sameas_key_pred_for(config)
-                ),
-                dedup=False,  # dedup rides the materialize shuffle
-            )
-            sameas.write_parquet(sameas_dir, filesystem=fs)
-            if any(
-                f.endswith(".parquet") for f in fsio.listdir(fs, sameas_dir)
-            ):
-                read_dirs.append(sameas_dir)
-        # coalesce at the READ (2 blocks/CPU): the sort exchange creates
-        # #blocks x #partitions objects, and thousands of tiny checkpoint
-        # files would dominate wall time.  Reading fewer, bigger blocks
-        # replaces the repartition() that used to live in materialize_graph
-        # (a second all-to-all there ALSO deadlocked the executor at 1M
-        # pages -- two all-to-alls double-buffer the whole dataset).
-        nblocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        # read_parquet expands a single directory but not directories in a
-        # path LIST, so enumerate the files explicitly.
-        read_files = [
-            fsio.join(d, f)
-            for d in read_dirs
-            for f in fsio.listdir(fs, d)
-            if f.endswith(".parquet")
-        ]
-        # single linear chain into materialize: read -> prep -> sort ->
-        # write, exactly one all-to-all, no multi-input operators.
-        edges = rd.read_parquet(
-            read_files or read_dirs,
-            columns=TRIPLE_COLS,
-            override_num_blocks=nblocks,
-            filesystem=fs,
-        )
+    sameas_dir = fsio.join(out_dir, "_sameas_triples")
+    read_files = fsio.list_files_recursive(fs, ckpt)
+    if stage_sameas_closure([ckpt], sameas_dir, fs, config):
+        read_files += fsio.list_files_recursive(fs, sameas_dir)
+    # coalesce at the READ (2 blocks/CPU): the sort exchange creates
+    # #blocks x #partitions objects, and thousands of tiny checkpoint
+    # files would dominate wall time.  Reading fewer, bigger blocks
+    # replaces the repartition() that used to live in materialize_graph
+    # (a second all-to-all there ALSO deadlocked the executor at 1M
+    # pages -- two all-to-alls double-buffer the whole dataset).
+    # Single linear chain into materialize: read -> prep -> sort -> write,
+    # exactly one all-to-all, no multi-input operators.
+    nblocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
+    edges = rd.read_parquet(
+        read_files or [ckpt],
+        columns=TRIPLE_COLS,
+        override_num_blocks=nblocks,
+        filesystem=fs,
+    )
     # pages-equivalent sizing for the auto-shard spill cap when the
     # input was a DATASET (no paths -> materialize_graph's own file
-    # sizing sees 0 and would run unsharded).  Calibration: the sort
-    # exchange measures ~6x the pages parquet, pages parquet ~13x the
-    # compressed triples checkpoint (2M: 13 GB pages / ~1 GB ckpt; 8M:
-    # 54 GB / 4.0 GB), and ~1x the materialized raw Arrow bytes.
-    size_hint = 0
-    if not input_paths:
-        if checkpoint_mode == "memory":
-            size_hint = (raw.size_bytes() or 0) // 6
-        else:
-            size_hint = fsio.total_size(read_files, fs) * 13
-    if checkpoint_mode == "memory":
-        # dedup rides the materialize subject-hash shuffle (dedup=True):
-        # every copy of a triple lands in the same partition, so the
-        # pipeline needs only ONE big exchange after extraction.
-        edges = canonical_edges(raw, pre_dedup=False, key_triples=key_triples)
+    # sizing sees 0 and would run unsharded).  Calibration: pages parquet
+    # is ~13x the compressed triples checkpoint (2M: 13 GB pages / ~1 GB
+    # ckpt; 8M: 54 GB / 4.0 GB).
+    size_hint = 0 if input_paths else fsio.total_size(read_files, fs) * 13
     return materialize_graph(
         edges,
         out_dir,
-        num_partitions=num_partitions or config.num_output_partitions,
+        num_partitions=num_partitions,
         ruleset_hash=config.ruleset_hash(),
         input_paths=input_paths,
+        extra=identity,
         dedup=True,
         preserve_src_prefixes=preserve_src_prefixes,
         filesystem=fs,

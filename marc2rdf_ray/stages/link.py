@@ -5,13 +5,13 @@ Ray-native redesign of the reference's BatchHarvest enrichment lookup-join
 (/root/reference/lib/batch_harvest.rb:72-103: local key -> external authority
 -> new triples on the record's subject).  Here the "authority" is an alias
 dictionary (alias string -> candidate entities with priors) broadcast once
-via ``ray.put`` and resolved inside each actor's ``__init__`` -- the
+via ``ray.put`` and resolved inside the linker's ``__init__`` -- the
 broadcast-small-side join of SURVEY.md §2.5 J1; no shuffle.
 
-Stage shape: callable class for ``map_batches(EntityLinker, concurrency=N,
-batch_size=B)`` -- the persistent-state analog of the reference's
-``Net::HTTP::Persistent`` connection held per batch run (batch_harvest.rb:
-18-24; SURVEY.md §2.4 T3).
+Stage shape: callable class built once per worker process by the flagship's
+stateless extraction tasks (pipelines/kg.py ``_STAGE_CACHE``) -- the
+persistent-state analog of the reference's ``Net::HTTP::Persistent``
+connection held per batch run (batch_harvest.rb:18-24; SURVEY.md §2.4 T3).
 
 Scoring is deterministic: for each alias occurrence count c and candidate
 prior p, score = c * p; the argmax candidate wins (ties -> lexicographically
@@ -98,7 +98,7 @@ class _TokenIndexMatcher:
     def finditer_aliases(self, text: str):
         # lazy over the match stream: no (token, start) list materializes
         # (the list+tuple build was ~0.2 ms/page of the fused extractor,
-        # tools/profile_flagship.py --hotpath); semantics identical --
+        # perfbench/run.py --trace 1); semantics identical --
         # "skip tokens starting inside a match" becomes a start cursor
         n = len(text)
         by_first_get = self.by_first.get

@@ -15,7 +15,7 @@ for resumable distributed output (SURVEY.md §2.2 K1/K2):
 
 from __future__ import annotations
 
-import os
+import json
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -69,12 +69,7 @@ def write_sorted_partition(
     partition, so per-partition dedup is globally exact -- and the pipeline
     saves an entire extra shuffle.
     """
-    import time as _time
-
     from .canonicalize import TRIPLE_KEY_COLS
-
-    _timing = os.environ.get("M2R_WRITE_TIMING")
-    _t0 = _time.monotonic()
 
     if fs is None:  # bare local path (tests / direct callers)
         fs, out_dir = fsio.resolve_fs(out_dir)
@@ -113,7 +108,6 @@ def write_sorted_partition(
     sort_cols = [c for c in TRIPLE_KEY_COLS if c in data.column_names]
     other_cols = [c for c in data.column_names if c not in sort_cols]
     data = data.sort_by([(c, "ascending") for c in sort_cols + other_cols])
-    _t1 = _time.monotonic()
     if dedup and len(data) > 1:
         dup = None  # row i+1 duplicates row i iff equal on ALL key cols
         for c in sort_cols:
@@ -128,7 +122,6 @@ def write_sorted_partition(
             dup = dup.combine_chunks()
         mask = pa.concat_arrays([pa.array([True]), pc.invert(dup)])
         data = data.filter(mask)
-    _t2 = _time.monotonic()
     fsio.makedirs(fs, pdir)
     pq_path = fsio.join(pdir, "edges.parquet")
     if fsio.is_local(fs):
@@ -137,7 +130,6 @@ def write_sorted_partition(
         fs.move(tmp_pq, pq_path)
     else:  # object store: single PUT is atomic (fsio contract)
         pq.write_table(data, pq_path, filesystem=fs)
-    _t3 = _time.monotonic()
 
     # vectorized formatting; invalid statements skipped; the payload stays
     # in Arrow until the single final join -- no per-line Python objects
@@ -160,14 +152,6 @@ def write_sorted_partition(
 
     if run_sig:  # marker LAST: presence certifies a complete partition
         fsio.write_text_atomic(fs, sig_path, run_sig)
-    if _timing:
-        _t4 = _time.monotonic()
-        print(
-            f"M2R_WRITE_TIMING part={part} rows_in={len(group)} "
-            f"rows_out={len(data)} sort={_t1 - _t0:.2f} dedup={_t2 - _t1:.2f} "
-            f"parquet={_t3 - _t2:.2f} nt={_t4 - _t3:.2f} total={_t4 - _t0:.2f}",
-            flush=True,
-        )
 
     return pa.table({"part": pa.array([part], pa.int32()),
                      "rows": pa.array([len(data)], pa.int64())})
@@ -252,8 +236,11 @@ def materialize_graph(
     (for the signature) resolve independently, so reading cluster-local
     parquet while writing to a bucket works.
 
-    Resume: when ``_manifest.json`` matches (same inputs, same rule set),
-    the whole write is skipped and the prior manifest returned.
+    Resume: when ``_manifest.json`` matches (same inputs, same rule set,
+    and every ``extra`` item -- the caller's own run identity, e.g. the
+    flagship's ``{"link": ...}``), the whole write is skipped and the prior
+    manifest returned.  ``extra`` is recorded in the manifest and folded
+    into the partition-resume signature.
 
     Preserve-on-update (``preserve_src_prefixes``): on a NON-matching
     manifest (changed inputs or rules), edges from the previous output
@@ -306,8 +293,13 @@ def materialize_graph(
     for p in input_paths or []:
         files.extend(list_input_files(p))
     sig = input_signature(files) if files else ""
+    extra = extra or {}
     existing = read_manifest(out_dir, filesystem=fs)
-    if sig and matches(existing, sig, ruleset_hash):
+    if (
+        sig
+        and matches(existing, sig, ruleset_hash)
+        and existing.extra.items() >= extra.items()
+    ):
         return existing
 
     # ``input_bytes_hint``: pages-equivalent sizing when the caller fed a
@@ -400,10 +392,13 @@ def materialize_graph(
             preserved_sig = "empty"
 
     # partition-resume signature: identical (inputs, rules, partitioning,
-    # preserved snapshot) => identical deterministic partition content
+    # caller identity, preserved snapshot) => identical deterministic
+    # partition content
     run_sig = (
         f"{sig}:{ruleset_hash}:{num_partitions}:{int(dedup)}" if sig else ""
     )
+    if run_sig and extra:
+        run_sig += ":" + json.dumps(extra, sort_keys=True)
     if run_sig and preserve_src_prefixes:
         run_sig += f":p={','.join(sorted(preserve_src_prefixes))}:{preserved_sig}"
 
@@ -444,18 +439,13 @@ def materialize_graph(
         # batch yields a null-bearing dictionary, which Arrow's
         # unify_dictionaries rejects inside Ray's sort-merge ("Cannot yet
         # unify dictionaries with nulls").
-        for c in ("pred", "obj_kind") if dict_encode else ():
+        for c in ("pred", "obj_kind"):
             if c in b.column_names and not pa.types.is_dictionary(b[c].type):
                 i = b.column_names.index(c)
                 b = b.set_column(
                     i, c, pc.dictionary_encode(b[c].combine_chunks())
                 )
         return b
-
-    # A/B toggle evaluated on the DRIVER and captured in the prep closure
-    # (workers never see the env var): M2R_NO_DICT_ENCODE=1 ships plain
-    # strings through the exchange, for interleaved benchmarking.
-    dict_encode = os.environ.get("M2R_NO_DICT_ENCODE") != "1"
 
     # NOTE deliberately NO repartition() here: a repartition feeding the
     # sort exchange stacks two all-to-all operators, each buffering the
@@ -505,7 +495,7 @@ def materialize_graph(
         num_partitions=num_partitions,
         triple_count=sum(counts.values()),
         partition_counts=counts,
-        extra=extra or {},
+        extra=extra,
     )
     write_manifest(out_dir, manifest, filesystem=fs)
     # run complete: the new partitions are now the durable copy of the

@@ -12,9 +12,9 @@ Two shapes:
 Both are callable CLASSES: the rule set is compiled once per actor/worker in
 ``__init__`` (the reference re-reads the mapping per record, mapping.rb:8-25
 -- deliberately not reproduced; SURVEY.md §2.4 T1).  They are cheap enough to
-run as stateless tasks too (Ray serializes the constructed callable), but the
-flagship pipeline uses them with ``concurrency=N`` actor pools so compiled
-regexes amortize.
+run as stateless tasks too (Ray serializes the constructed callable); the
+flagship pipeline caches its fused stage per worker process so compiled
+regexes amortize (pipelines/kg.py ``_STAGE_CACHE``).
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ class TestPagesParity:
         import ray.data as rd
 
         from marc2rdf_ray.pipelines.kg import (
-            KGExtract,
             derive_work_triples,
             extract_triples,
         )

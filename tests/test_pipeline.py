@@ -244,9 +244,11 @@ def test_partition_level_resume_after_crash(ray_session, pages_dir, tmp_path):
 def test_checkpoint_resume_skips_reextraction(ray_session, pages_dir, tmp_path):
     """After a crash (manifest lost, checkpoint intact+marked), the re-run
     reuses the raw checkpoint instead of re-extracting."""
+    import shutil
     import time
 
     from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+    from marc2rdf_ray.stages.link import MENTIONS_PRED
 
     out_dir = str(tmp_path / "graph")
     m1 = run_kg_pipeline(pages_dir, out_dir, PipelineConfig())
@@ -263,6 +265,62 @@ def test_checkpoint_resume_skips_reextraction(ray_session, pages_dir, tmp_path):
     assert m2.triple_count == m1.triple_count
     # checkpoint untouched -> extraction was skipped
     assert {f: os.path.getmtime(f) for f in files} == mtimes
+
+    # ``link`` is part of the run identity: a link=False run into the same
+    # out_dir must neither short-circuit on the link=True manifest nor
+    # reuse the link=True checkpoint
+    def mentions(out):
+        return sum(
+            pq.read_table(
+                os.path.join(out, d, "edges.parquet"), columns=["pred"]
+            )["pred"].to_pylist().count(MENTIONS_PRED)
+            for d in os.listdir(out)
+            if d.startswith("part=")
+        )
+
+    fresh = run_kg_pipeline(
+        pages_dir, str(tmp_path / "nolink"), PipelineConfig(), link=False
+    )
+    assert mentions(str(tmp_path / "nolink")) == 0 < mentions(out_dir)
+    m3 = run_kg_pipeline(pages_dir, out_dir, PipelineConfig(), link=False)
+    assert m3.partition_counts == fresh.partition_counts
+    assert m3.triple_count == fresh.triple_count < m1.triple_count
+    assert mentions(out_dir) == 0
+    # checkpoint-reuse path: manifest and partitions gone, the link=False
+    # checkpoint intact -> a link=True run re-extracts
+    os.remove(os.path.join(out_dir, "_manifest.json"))
+    for d in os.listdir(out_dir):
+        if d.startswith("part="):
+            shutil.rmtree(os.path.join(out_dir, d))
+    m4 = run_kg_pipeline(pages_dir, out_dir, PipelineConfig())
+    assert m4.partition_counts == m1.partition_counts
+    assert mentions(out_dir) > 0
+
+
+def test_dataset_input_matches_path_input(ray_session, pages_dir, tmp_path):
+    """A pages Dataset (the CLI's --since/--limit input) builds the same
+    graph as the same pages given as a path.  A Dataset has no input
+    signature, so its checkpoint carries no completion marker."""
+    import ray.data as rd
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    def edges(out):
+        rows = set()
+        for d in os.listdir(out):
+            if d.startswith("part="):
+                t = pq.read_table(os.path.join(out, d, "edges.parquet"))
+                rows |= set(zip(*[t[c].to_pylist() for c in t.column_names]))
+        return rows
+
+    by_path = str(tmp_path / "by_path")
+    by_ds = str(tmp_path / "by_ds")
+    m1 = run_kg_pipeline(pages_dir, by_path, PipelineConfig())
+    pages = rd.read_parquet(pages_dir, columns=["url", "html"])
+    m2 = run_kg_pipeline(pages, by_ds, PipelineConfig())
+    assert m2.partition_counts == m1.partition_counts
+    assert edges(by_ds) == edges(by_path)
+    assert not os.path.exists(os.path.join(by_ds, "_raw_triples.complete"))
 
 
 def test_token_index_matcher_edge_cases():
@@ -806,6 +864,10 @@ def test_merge_refuses_ruleset_change_and_missing_checkpoint(
         merge_window_into_graph(
             str(w2), out, PipelineConfig(prefix="changed_")
         )
+    # the base was built with link=True: a link=False window would leave
+    # entity mentions in only some windows
+    with pytest.raises(ValueError, match="link=False"):
+        merge_window_into_graph(str(w2), out, PipelineConfig(), link=False)
 
     shutil.rmtree(os.path.join(out, "_raw_triples"))
     with pytest.raises(ValueError, match="_raw_triples"):
