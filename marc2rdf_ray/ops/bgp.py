@@ -945,7 +945,8 @@ def bgp_match(
       distinct collapses them, as in the star/chain executors).
 
     Predicates must be constants (true of every reference mapping rule;
-    a variable-predicate pattern raises NotImplementedError).
+    a variable-predicate pattern raises NotImplementedError).  At most
+    127 patterns (int8 pattern ids); more raise ValueError.
     """
     import ray
 
@@ -954,6 +955,11 @@ def bgp_match(
     if not patterns:
         raise ValueError("bgp_match needs at least one pattern")
     pats = [tuple(p) for p in patterns]
+    if len(pats) > 127:
+        raise ValueError(
+            f"bgp_match: {len(pats)} patterns; the scan tags each row with "
+            "an int8 pattern id, so at most 127 patterns are supported"
+        )
     for s, p, o in pats:
         if _is_var(p):
             raise NotImplementedError(

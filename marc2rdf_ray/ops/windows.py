@@ -55,6 +55,15 @@ def _warn_hot_keys(op: str, keys_sorted: np.ndarray,
         )
 
 
+def _segment_of(tus, segment_us: int) -> pa.Array:
+    """Time segment ``floor(tus / segment_us)`` of int64 microseconds.
+    Floor, not Arrow's truncating integer divide: segment s is exactly
+    ``[s*segment_us, (s+1)*segment_us)`` for pre-epoch (negative)
+    timestamps too, which is what the per-segment numpy passes assume."""
+    t = np.asarray(tus.to_numpy(zero_copy_only=False), np.int64)
+    return pa.array(t // np.int64(segment_us), pa.int64())
+
+
 def sessionize(
     ds,
     *,
@@ -87,7 +96,9 @@ def sessionize(
     second, tiny gap-merge pass -- output identical to the unsegmented
     path (pytest-locked).  Requires ``segment_us >= gap_us`` (narrower
     segments would make everything a boundary session; still correct,
-    just pointless)."""
+    just pointless).  Segments are floor-divided, ``[k*segment_us,
+    (k+1)*segment_us)``, so pre-epoch (negative) timestamps segment like
+    any others (pytest-locked across the epoch)."""
     from ..functions.hashing import bucket_codes
 
     if segment_us is not None and segment_us < gap_us:
@@ -119,7 +130,7 @@ def sessionize(
         if segment_us is None:
             key = pc.cast(t["u"], pa.string())
         else:
-            seg = pc.divide(t["tus"], pa.scalar(segment_us, pa.int64()))
+            seg = _segment_of(t["tus"], segment_us)
             t = t.append_column("seg", seg)
             key = pc.binary_join_element_wise(
                 pc.cast(t["u"], pa.string()),
@@ -370,7 +381,9 @@ def running_totals(
     per-segment local cumsums, then an O(#(key, segment)) exclusive
     prefix of segment totals per key, carried back into every row by a
     broadcast-or-join lookup.  Output identical to the unsegmented path
-    (pytest-locked)."""
+    (pytest-locked, pre-epoch timestamps included: segments are
+    floor-divided, and the scan breaks on the ``seg`` column the shuffle
+    key was built from)."""
     from ..functions.hashing import bucket_codes
     from ..functions.numeric import sql_round_i64
 
@@ -394,7 +407,7 @@ def running_totals(
         if segment_us is None:
             key = pc.cast(t["u"], pa.string())
         else:
-            seg = pc.divide(t["tus"], pa.scalar(segment_us, pa.int64()))
+            seg = _segment_of(t["tus"], segment_us)
             t = t.append_column("seg", seg)
             key = pc.binary_join_element_wise(
                 pc.cast(t["u"], pa.string()),
@@ -410,8 +423,10 @@ def running_totals(
         vc = group["vc"].to_numpy(zero_copy_only=False)
         # segmented: the cumsum break is (key, segment) -- a bucket may
         # hold non-contiguous segments of one key, so a plain per-key
-        # cumsum would be wrong; the carry pass restores the global scan
-        segv = (tus // segment_us) if segment_us is not None else None
+        # cumsum would be wrong; the carry pass restores the global scan.
+        # The segment is prep's: the one the shuffle key was built from.
+        segv = (group["seg"].to_numpy(zero_copy_only=False)
+                if segment_us is not None else None)
         order = np.lexsort((ids, tus, u))
         u, tus, ids, vc = u[order], tus[order], ids[order], vc[order]
         if segv is not None:

@@ -150,7 +150,8 @@ def merge_window_into_graph(
     ]
     closure_dir = fsio.join(out_dir, "_merge_sameas")
     # the closure rows are undeduped: dedup rides the partition rewrite
-    have_closure = stage_sameas_closure(ckpts, closure_dir, fs, config)
+    closure_files, _ = stage_sameas_closure(ckpts, closure_dir, fs, config)
+    have_closure = bool(closure_files)
 
     # ---- 3) touched-partition detection --------------------------------
     from ..functions.hashing import bucket_codes

@@ -1,12 +1,20 @@
 """The flagship KG-construction pipeline (Ray Data equivalent of the
 reference's harvest->convert->update->enrich->rules lifecycle, SURVEY.md §3.3):
 
+    plan P partitions, S passes               # from the pages bytes
     read_parquet(pages)                       # url + html only (prune at read)
       -> map_batches(extract_fn, ...)         # fused: parse + rules + linking
-      -> write_parquet(raw triples, pk=)      # converter output checkpoint
-      -> sameAs + symmetry closure            # staged from the pk=1 sliver
-      -> materialize: dedup + sorted NT/Parquet partitioned by hash(subj)
+      -> write_parquet(raw triples,           # converter output checkpoint
+           pk=*/shard=*)                      #   _raw_triples(.complete)
+      -> sameAs + symmetry closure            # staged from the pk=1 sliver:
+                                              #   _sameas_triples(.complete)
+      -> materialize, pass s reads shard=s    # dedup + sorted NT/Parquet
+         + the staged closure                 # partitioned by hash(subj)
          + manifest
+
+A resumed run whose markers match its identity re-derives nothing they
+certify: the checkpoint skips extraction, the staged closure skips the
+sameAs jobs, and each pass reads only its own checkpoint files.
 
 Stage-fusion note: HTML parse, rule-driven triple extraction, entity linking
 and per-record work propagation all happen in ONE map_batches pass -- the
@@ -26,7 +34,8 @@ merge (pipelines/incremental.py): :func:`checkpoint_raw_triples` and
 
 from __future__ import annotations
 
-from typing import Optional
+import logging
+from typing import NamedTuple, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -45,6 +54,8 @@ MANIFESTATION_PRED = DEFAULT_VOCAB.resolve("FABIO.isManifestationOf")
 CREATOR_PRED = DEFAULT_VOCAB.resolve("DC.creator")
 
 TRIPLE_COLS = ["subj", "pred", "obj", "obj_kind", "lang", "src"]
+
+logger = logging.getLogger(__name__)
 
 
 def sameas_key_pred_for(config: "PipelineConfig") -> str:
@@ -169,61 +180,117 @@ def _make_hook_fn(hook):
     return apply
 
 
+class RawCheckpoint(NamedTuple):
+    """What :func:`checkpoint_raw_triples` left at its ``ckpt``."""
+
+    ident: str  # run identity its marker certifies; "" = none (Dataset)
+    layout: Optional[tuple]  # (P, S) of pk=*/shard=*; None = pk=* only
+    reused: bool  # a certified checkpoint was kept; nothing was extracted
+
+
+def _read_marker(fs, marker: str) -> tuple:
+    """(identity, layout) recorded in a checkpoint marker."""
+    lines = (fsio.read_text(fs, marker) or "").split("\n")
+    layout = None
+    if len(lines) > 1 and lines[1].startswith("layout="):
+        p, s = lines[1][len("layout="):].split(",")
+        layout = (int(p), int(s))
+    return lines[0].strip(), layout
+
+
 def checkpoint_raw_triples(
     pages, ckpt: str, fs, config: PipelineConfig, alias_dict, *,
-    link: bool, sig: str,
-) -> None:
+    link: bool, sig: str, layout: Optional[tuple] = None,
+    derived_markers: tuple = (),
+) -> RawCheckpoint:
     """Extract ``pages`` (a pages parquet path or Dataset) into the raw
     triples checkpoint ``ckpt``, unless a completed checkpoint of the same
     run is already there.
 
-    The run identity is (input signature ``sig``, rule set, ``link``).  The
-    marker ``<ckpt>.complete`` carrying it is written after write_parquet
-    returns, so a matching marker certifies the whole checkpoint and skips
-    re-extraction -- the dominant cost of a restart.  ``sig=""`` (a Dataset
-    input has no signature) always re-extracts and writes no marker.
+    The run identity is ``sig:ruleset:link=N`` (input signature ``sig``,
+    rule set, ``link``).  The marker ``<ckpt>.complete`` carrying it is
+    written after write_parquet returns, so a matching marker certifies
+    the whole checkpoint and skips re-extraction -- the dominant cost of a
+    restart.  ``sig=""`` (a Dataset input has no signature) always
+    re-extracts and writes no marker.  ``derived_markers`` (the markers of
+    stages staged from this checkpoint) are deleted before a
+    re-extraction, so a crash mid-extraction cannot leave them certifying
+    a checkpoint that is gone.
 
     The checkpoint is PARTITIONED on "is this a sameAs-key triple": the
     sameAs stage then reads only the pk=1 sliver (~1-2% of rows) instead
     of re-scanning the full converter output -- at 100 TB that second full
     pass is real money.  pk is a partition directory, not a data column,
-    so the main re-read is unchanged."""
+    so the main re-read is unchanged.
+
+    ``layout=(P, S)`` with S > 1 partitions it further by materialize pass
+    (``pk=*/shard=s``, s = ``stages.materialize.shard_of`` of the
+    subject's partition id), so pass s of an S-pass materialize reads only
+    its own files.  The marker records the layout on its second line; a
+    reused checkpoint keeps the layout it was written with, whatever the
+    caller asks for now (the returned ``layout`` says which)."""
     import ray.data as rd
+
+    from ..functions.hashing import bucket_codes
+    from ..stages.materialize import shard_of
 
     ident = f"{sig}:{config.ruleset_hash()}:link={int(link)}" if sig else ""
     marker = ckpt + ".complete"
-    if (
-        ident
-        and fsio.isdir(fs, ckpt)
-        and (fsio.read_text(fs, marker) or "").strip() == ident
-    ):
-        return
+    if ident and fsio.isdir(fs, ckpt):
+        have, have_layout = _read_marker(fs, marker)
+        if have == ident:
+            return RawCheckpoint(ident, have_layout, True)
+    for m in (marker, *derived_markers):
+        fsio.delete_file(fs, m)
     fsio.rmtree(fs, ckpt)
-    fsio.delete_file(fs, marker)
     if isinstance(pages, str):
         pages = rd.read_parquet(pages, columns=["url", "html"])
     if alias_dict is None and link:
         alias_dict = build_alias_dict()
     key_pred = pa.scalar(sameas_key_pred_for(config))
+    if layout is not None and layout[1] <= 1:
+        layout = None
+    cols = ["pk"] if layout is None else ["pk", "shard"]
 
     def add_pk(b: pa.Table) -> pa.Table:
-        return b.append_column(
+        b = b.append_column(
             "pk", pc.cast(pc.equal(b["pred"], key_pred), pa.int8())
+        )
+        if layout is None:
+            return b
+        return b.append_column(
+            "shard", shard_of(bucket_codes(b["subj"], layout[0]), *layout)
         )
 
     extract_triples(pages, config, alias_dict if link else None).map_batches(
         add_pk, batch_format="pyarrow"
-    ).write_parquet(ckpt, partition_cols=["pk"], filesystem=fs)
+    ).write_parquet(ckpt, partition_cols=cols, filesystem=fs)
     if ident:
-        fsio.write_text_atomic(fs, marker, ident)
+        if layout is not None:
+            ident_text = f"{ident}\nlayout={layout[0]},{layout[1]}"
+        else:
+            ident_text = ident
+        fsio.write_text_atomic(fs, marker, ident_text)
+    return RawCheckpoint(ident, layout, False)
 
 
 def stage_sameas_closure(
-    ckpts: list[str], out: str, fs, config: PipelineConfig
-) -> bool:
+    ckpts: list[str], out: str, fs, config: PipelineConfig, ident: str = ""
+) -> tuple:
     """Write ``symmetry_closure(sameas_by_shared_key(...))`` over the pk=1
-    slivers of the raw checkpoints ``ckpts`` to parquet under ``out``
-    (replacing it).  Returns whether any closure rows were written.
+    slivers of the raw checkpoints ``ckpts`` to parquet under ``out``.
+    Returns ``(files, reused)``: the staged parquet files (empty when no
+    closure rows exist) and whether a certified staging was kept.
+
+    ``ident``: the run identity of the checkpoint(s) (what
+    :func:`checkpoint_raw_triples` returns).  The staging is then a
+    durable resume artifact like the checkpoint: ``<out>.complete``
+    carrying ``ident`` is written LAST, and a later call with the same
+    ``ident`` whose ``out`` still exists returns it without starting a
+    Ray job.  A restage deletes the marker first, so a crash mid-staging
+    recomputes.  ``ident=""`` (a Dataset input, or the window merge, whose
+    checkpoint set changes with every window) always restages and writes
+    no marker.
 
     Undeduped: dedup rides the consumer's subject-hash shuffle.  STAGED to
     parquet instead of union-ed into the materialize sort: Union(big-read,
@@ -232,22 +299,33 @@ def stage_sameas_closure(
     against the execution budget, which blocks downstream admission, which
     keeps the Union from draining (observed: 0/466 blocks for 20 min with
     every input backpressured).  The closure output is ~1% of the triples,
-    so the extra parquet round-trip is noise, and it makes the sameAs edges
-    a durable resume artifact like the checkpoint."""
+    so the extra parquet round-trip is noise."""
     import ray.data as rd
 
+    marker = out + ".complete"
+    if (
+        ident
+        and fsio.isdir(fs, out)
+        and (fsio.read_text(fs, marker) or "").strip() == ident
+    ):
+        return fsio.list_files_recursive(fs, out), True
+    fsio.delete_file(fs, marker)
     fsio.rmtree(fs, out)
     key_files = []
     for ckpt in ckpts:
         key_files.extend(fsio.list_files_recursive(fs, fsio.join(ckpt, "pk=1")))
-    if not key_files:
-        return False
-    key_triples = rd.read_parquet(key_files, columns=TRIPLE_COLS, filesystem=fs)
-    symmetry_closure(
-        sameas_by_shared_key(key_triples, sameas_key_pred_for(config)),
-        dedup=False,
-    ).write_parquet(out, filesystem=fs)
-    return bool(fsio.list_files_recursive(fs, out))
+    if key_files:
+        key_triples = rd.read_parquet(
+            key_files, columns=TRIPLE_COLS, filesystem=fs
+        )
+        symmetry_closure(
+            sameas_by_shared_key(key_triples, sameas_key_pred_for(config)),
+            dedup=False,
+        ).write_parquet(out, filesystem=fs)
+    if ident:
+        fsio.makedirs(fs, out)  # an empty closure is certified too
+        fsio.write_text_atomic(fs, marker, ident)
+    return fsio.list_files_recursive(fs, out), False
 
 
 def run_kg_pipeline(
@@ -285,10 +363,21 @@ def run_kg_pipeline(
     materialize read), and re-deriving each branch from the pages DAG would
     re-run extraction per branch.  One extraction pass, then cheap parquet
     re-reads.
+
+    For a path input the materialize plan (P partitions, S passes; the
+    arithmetic of ``materialize_graph``, from the pages bytes and
+    ``config.materialize_shards``) is fixed BEFORE extraction, so the
+    checkpoint is written as ``pk=*/shard=*`` and pass s reads only its
+    own ~1/S.  A checkpoint reused from a run with another plan is read
+    whole by every pass (range-filtered, never re-extracted).  A Dataset
+    input keeps the unsplit checkpoint and is sized from it.  One INFO
+    line per run names P, S, the bytes behind them and which stages were
+    reused.
     """
     import ray
     import ray.data as rd
 
+    from ..stages.materialize import plan_passes
     from ..state.manifest import (
         input_signature,
         list_input_files,
@@ -300,28 +389,58 @@ def run_kg_pipeline(
     fs, out_dir = fsio.resolve_fs(out_dir, filesystem)
     identity = {"link": link}
 
+    layout = None
     if isinstance(pages_path, str):
         input_paths = [pages_path]
         # resume short-circuit BEFORE any extraction work
-        sig = input_signature(list_input_files(pages_path))
+        pages_files = list_input_files(pages_path)
+        sig = input_signature(pages_files)
         existing = read_manifest(out_dir, filesystem=fs)
         if (
             matches(existing, sig, config.ruleset_hash())
             and existing.extra.items() >= identity.items()
         ):
             return existing
+        # the materialize plan, decided before extraction so the
+        # checkpoint can be laid out per pass (materialize_graph would
+        # pick the same P and S from the same pages bytes)
+        in_bytes = fsio.total_size(pages_files)
+        layout = plan_passes(
+            in_bytes, num_partitions, config.materialize_shards
+        )
     else:
         input_paths = []
         sig = ""
 
     ckpt = fsio.join(out_dir, "_raw_triples")
-    checkpoint_raw_triples(
-        pages_path, ckpt, fs, config, alias_dict, link=link, sig=sig
-    )
     sameas_dir = fsio.join(out_dir, "_sameas_triples")
-    read_files = fsio.list_files_recursive(fs, ckpt)
-    if stage_sameas_closure([ckpt], sameas_dir, fs, config):
-        read_files += fsio.list_files_recursive(fs, sameas_dir)
+    raw = checkpoint_raw_triples(
+        pages_path, ckpt, fs, config, alias_dict, link=link, sig=sig,
+        layout=layout, derived_markers=(sameas_dir + ".complete",),
+    )
+    sameas_files, sameas_reused = stage_sameas_closure(
+        [ckpt], sameas_dir, fs, config, raw.ident
+    )
+    ckpt_files = fsio.list_files_recursive(fs, ckpt)
+    if layout is None:
+        # pages-equivalent sizing for the auto-shard spill cap when the
+        # input was a DATASET (no pages files to size).  Calibration:
+        # pages parquet is ~13x the compressed triples checkpoint (2M:
+        # 13 GB pages / ~1 GB ckpt; 8M: 54 GB / 4.0 GB).
+        in_bytes = fsio.total_size(ckpt_files + sameas_files, fs) * 13
+        layout = plan_passes(
+            in_bytes, num_partitions, config.materialize_shards
+        )
+    num_partitions, shards = layout
+    logger.info(
+        "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %s "
+        "(layout %s); sameAs closure %s",
+        num_partitions, shards, "pages" if input_paths else "ckpt x 13",
+        in_bytes, "reused" if raw.reused else "extracted",
+        "P,S=%d,%d" % raw.layout if raw.layout else "pk only",
+        "reused" if sameas_reused else "staged",
+    )
+
     # coalesce at the READ (2 blocks/CPU): the sort exchange creates
     # #blocks x #partitions objects, and thousands of tiny checkpoint
     # files would dominate wall time.  Reading fewer, bigger blocks
@@ -330,19 +449,40 @@ def run_kg_pipeline(
     # pages -- two all-to-alls double-buffer the whole dataset).
     # Single linear chain into materialize: read -> prep -> sort -> write,
     # exactly one all-to-all, no multi-input operators.
-    nblocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    edges = rd.read_parquet(
-        read_files or [ckpt],
-        columns=TRIPLE_COLS,
-        override_num_blocks=nblocks,
-        filesystem=fs,
-    )
-    # pages-equivalent sizing for the auto-shard spill cap when the
-    # input was a DATASET (no paths -> materialize_graph's own file
-    # sizing sees 0 and would run unsharded).  Calibration: pages parquet
-    # is ~13x the compressed triples checkpoint (2M: 13 GB pages / ~1 GB
-    # ckpt; 8M: 54 GB / 4.0 GB).
-    size_hint = 0 if input_paths else fsio.total_size(read_files, fs) * 13
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    nblocks = max(8, ncpu * 2)
+
+    def read(files, num_blocks):
+        # an empty file list falls back to the whole checkpoint: the
+        # pass's range filter keeps that correct
+        return rd.read_parquet(
+            files or [ckpt],
+            columns=TRIPLE_COLS,
+            override_num_blocks=num_blocks,
+            filesystem=fs,
+        )
+
+    edges, shard_inputs = None, None
+    if shards > 1 and raw.layout == layout:
+        # one read of the checkpoint in total: pass s reads pk=*/shard=s,
+        # ~1/S of the rows, in ~1/S of the blocks (block size as in the
+        # whole read; at least one block per CPU)
+        def shard_files(s):
+            return [
+                f
+                for pk in ("pk=0", "pk=1")
+                for f in fsio.list_files_recursive(
+                    fs, fsio.join(ckpt, pk, f"shard={s}")
+                )
+            ]
+
+        shard_inputs = [
+            read(shard_files(s) + sameas_files, max(ncpu, nblocks // shards))
+            for s in range(shards)
+        ]
+    else:
+        # unsplit, or laid out for another plan: every pass reads it all
+        edges = read(ckpt_files + sameas_files, nblocks)
     return materialize_graph(
         edges,
         out_dir,
@@ -353,6 +493,6 @@ def run_kg_pipeline(
         dedup=True,
         preserve_src_prefixes=preserve_src_prefixes,
         filesystem=fs,
-        shards=config.materialize_shards,
-        input_bytes_hint=size_hint,
+        shards=shards,
+        shard_inputs=shard_inputs,
     )

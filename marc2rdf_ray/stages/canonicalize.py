@@ -20,6 +20,8 @@ two-phase salt -> merge.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -33,9 +35,30 @@ except Exception:  # pragma: no cover
 
 TRIPLE_KEY_COLS = ["subj", "pred", "obj", "obj_kind", "lang"]
 
-# worker-global broadcast-table cache for the sameAs canon lookup,
-# keyed by ObjectRef hex; bounded (cleared at 8 entries)
-_ATTACH_CACHE: dict = {}
+# worker-global broadcast-table cache for the sameAs canon lookup, keyed
+# by ObjectRef hex, least recently used first; holds at most
+# _ATTACH_CACHE_BYTES of tables (the newest entry is kept even when it
+# alone is larger)
+_ATTACH_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
+_ATTACH_CACHE_BYTES = 512 << 20
+
+
+def _attach_state(key: str, load) -> tuple:
+    """The cached ``load()`` result for ``key``; on a miss, loads it and
+    evicts the least recently used entries until the cache fits its byte
+    cap."""
+    state = _ATTACH_CACHE.get(key)
+    if state is not None:
+        _ATTACH_CACHE.move_to_end(key)
+        return state
+    state = load()
+    size = sum(a.nbytes for a in state)
+    held = sum(a.nbytes for v in _ATTACH_CACHE.values() for a in v)
+    while _ATTACH_CACHE and held + size > _ATTACH_CACHE_BYTES:
+        _, old = _ATTACH_CACHE.popitem(last=False)
+        held -= sum(a.nbytes for a in old)
+    _ATTACH_CACHE[key] = state
+    return state
 
 
 # -- local (per-batch) combiners ------------------------------------------
@@ -187,14 +210,12 @@ def sameas_by_shared_key(triples_ds, key_pred: str,
             # Stateless task + worker-global cache keyed by the broadcast
             # ref: same amortization as the old 2-actor pool, none of its
             # per-query startup cost (round-5 task #4).
-            state = _ATTACH_CACHE.get(ckey)
-            if state is None:
-                if len(_ATTACH_CACHE) >= 8:
-                    _ATTACH_CACHE.clear()
+            def load():
                 t = ray.get(cref)
-                state = (t["obj"].combine_chunks(),
-                         t["canon"].combine_chunks())
-                _ATTACH_CACHE[ckey] = state
+                return (t["obj"].combine_chunks(),
+                        t["canon"].combine_chunks())
+
+            state = _attach_state(ckey, load)
             idx = pc.index_in(b["obj"], value_set=state[0])
             canon_col = pc.take(state[1], idx)
             return emit(b.append_column("canon", canon_col))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -211,6 +212,42 @@ def choose_num_partitions(
     return max(floor, min(65536, need))
 
 
+def plan_passes(
+    input_bytes: int,
+    num_partitions: int | None = None,
+    shards: int = 0,
+    target_partition_bytes: int = 128 << 20,
+) -> tuple[int, int]:
+    """The (partition count P, pass count S) :func:`materialize_graph`
+    runs with: ``None``/``0`` pick P/S from ``input_bytes``
+    (:func:`choose_num_partitions`, :func:`choose_shards`); S is clamped
+    to [1, P].  Callers that lay their input out per pass (the flagship's
+    ``pk=*/shard=*`` checkpoint) plan with this before writing it."""
+    if num_partitions is None:
+        num_partitions = choose_num_partitions(
+            input_bytes, target_partition_bytes
+        )
+    if not shards:
+        shards = choose_shards(input_bytes, num_partitions)
+    return num_partitions, max(1, min(int(shards), num_partitions))
+
+
+def shard_bounds(num_partitions: int, shards: int) -> list[int]:
+    """Pass s of an S-pass materialize keeps partition ids in
+    ``[bounds[s], bounds[s + 1])``: contiguous ranges ``s*P//S``."""
+    return [s * num_partitions // shards for s in range(shards + 1)]
+
+
+def shard_of(parts, num_partitions: int, shards: int) -> pa.Array:
+    """The pass (0..S-1) whose :func:`shard_bounds` range holds each
+    partition id in ``parts`` -- the one mapping shared by the pass loop
+    and every writer that lays its rows out per pass."""
+    inner = np.asarray(shard_bounds(num_partitions, shards)[1:-1], np.int32)
+    codes = np.asarray(parts.to_numpy(zero_copy_only=False), np.int32)
+    shard = np.searchsorted(inner, codes, side="right")
+    return pa.array(shard.astype(np.int32))
+
+
 def materialize_graph(
     triples_ds,
     out_dir: str,
@@ -224,7 +261,7 @@ def materialize_graph(
     preserve_src_prefixes: list[str] | None = None,
     filesystem=None,
     shards: int = 0,
-    input_bytes_hint: int = 0,
+    shard_inputs: list | None = None,
 ) -> RunManifest:
     """Write the edge table partitioned+sorted; returns the run manifest.
 
@@ -272,10 +309,18 @@ def materialize_graph(
     buffers the whole edge table in the object store; when a deployment
     must bound that (e.g. the 2M-page bench spills ~47 GB), the write
     runs as ``shards`` sequential passes, pass ``s`` keeping only
-    partition ids in its contiguous range -- each pass shuffles ~1/S of
-    the data, so peak object-store footprint drops by S at the cost of
-    re-reading the (columnar, pruned) input S times.  Partition content
-    is byte-identical to the unsharded run (the partition id is a pure
+    partition ids in its contiguous range (:func:`shard_bounds`) -- each
+    pass shuffles ~1/S of the data, so peak object-store footprint drops
+    by S.  Every row is range-filtered BEFORE the local dedup and the
+    exchange encoding, so a pass pays those for its own ~1/S only.
+    ``triples_ds`` is re-read by every pass; ``shard_inputs`` (a list of
+    S Datasets, ``triples_ds`` then unused) gives pass ``s`` its own
+    input instead -- the flagship passes each pass its ``shard=s``
+    checkpoint files (:func:`shard_of` layout) plus the staged sameAs
+    rows, so the checkpoint is read once in total.  Any row of a pass
+    input outside the pass's range is filtered out, so a per-pass input
+    that holds extra rows is slower, never wrong.  Partition content is
+    byte-identical to the unsharded run (the partition id is a pure
     function of subj), the manifest is written once at the end, and the
     per-partition ``_sig`` markers make the loop crash-resumable
     mid-shard exactly like the unsharded path.
@@ -302,13 +347,19 @@ def materialize_graph(
     ):
         return existing
 
-    # ``input_bytes_hint``: pages-equivalent sizing when the caller fed a
-    # DATASET instead of paths (files empty -> in_bytes 0 used to
-    # silently disable the auto-shard spill cap: an 8M-page run then
-    # materialized UNSHARDED and filled the disk with spill).
-    in_bytes = fsio.total_size(files) or int(input_bytes_hint)
-    if num_partitions is None:
-        num_partitions = choose_num_partitions(in_bytes, target_partition_bytes)
+    # a caller feeding a DATASET without input paths sizes P and S
+    # itself (in_bytes is then 0: auto sizing would run unsharded, and an
+    # 8M-page run once filled the disk with spill that way) -- see
+    # pipelines/kg.run_kg_pipeline
+    in_bytes = fsio.total_size(files)
+    num_partitions, shards = plan_passes(
+        in_bytes, num_partitions, shards, target_partition_bytes
+    )
+    if shard_inputs is not None and len(shard_inputs) != shards:
+        raise ValueError(
+            f"materialize_graph: {len(shard_inputs)} shard_inputs for "
+            f"{shards} passes"
+        )
 
     # Carry preserved edges forward BEFORE the old partitions are dropped.
     # DURABILITY (ADVICE r2): the old partitions are the only durable copy
@@ -416,10 +467,9 @@ def materialize_graph(
             if not keep:
                 fsio.rmtree(fs, fsio.join(out_dir, d))
 
-    if preserved is not None:
-        triples_ds = triples_ds.union(preserved)
-
     def prep(b: pa.Table) -> pa.Table:
+        # a PART_COL added by the range filter rides the local dedup as a
+        # "min" column (it is a function of subj, a dedup key column)
         if dedup:
             # per-batch pre-dedup BEFORE the shuffle: hot entities (e.g. an
             # author on 20% of pages) emit IDENTICAL triples from every
@@ -430,7 +480,8 @@ def materialize_graph(
 
             keys = [c for c in TRIPLE_KEY_COLS if c in b.column_names]
             b = local_dedup(b, keys)
-        b = add_partition_column(b, num_partitions)
+        if PART_COL not in b.column_names:
+            b = add_partition_column(b, num_partitions)
         # dictionary-encode the low-cardinality columns through the
         # exchange (~15% of the shuffle bytes at 200k pages -- a handful of
         # distinct predicates repeated per row otherwise ship as full
@@ -455,30 +506,30 @@ def materialize_graph(
     # blocks coalesce at the SOURCE instead (read_parquet
     # override_num_blocks -- see pipelines/kg.py), which costs nothing and
     # keeps exactly one all-to-all in this pipeline.
-    if not shards:  # 0/None => auto spill-cap sizing (VERDICT r3 #2)
-        shards = choose_shards(in_bytes, num_partitions)
-    shards = max(1, min(int(shards), num_partitions))
     import logging as _logging
 
     _logging.getLogger(__name__).info(
-        "materialize: in_bytes=%d (hint=%d) shards=%d partitions=%d",
-        in_bytes, int(input_bytes_hint), shards, num_partitions,
+        "materialize: in_bytes=%d shards=%d partitions=%d",
+        in_bytes, shards, num_partitions,
     )
     counts: dict[str, int] = {}
+    bounds = shard_bounds(num_partitions, shards)
     for s in range(shards):
-        lo = s * num_partitions // shards
-        hi = (s + 1) * num_partitions // shards
+        lo, hi = bounds[s], bounds[s + 1]
 
         def shard_prep(b: pa.Table, lo=lo, hi=hi) -> pa.Table:
-            b = prep(b)
-            if shards == 1:
-                return b
-            col = b[PART_COL]
-            return b.filter(
-                pc.and_(pc.greater_equal(col, lo), pc.less(col, hi))
-            )
+            if shards > 1:
+                b = add_partition_column(b, num_partitions)
+                col = b[PART_COL]
+                b = b.filter(
+                    pc.and_(pc.greater_equal(col, lo), pc.less(col, hi))
+                )
+            return prep(b)
 
-        parted = triples_ds.map_batches(shard_prep, batch_format="pyarrow")
+        src = triples_ds if shard_inputs is None else shard_inputs[s]
+        if preserved is not None:
+            src = src.union(preserved)
+        parted = src.map_batches(shard_prep, batch_format="pyarrow")
         counts_ds = parted.groupby(PART_COL).map_groups(
             lambda g: write_sorted_partition(
                 g, out_dir, dedup=dedup, run_sig=run_sig, fs=fs

@@ -87,6 +87,11 @@ def test_planner_rejects_unsupported_shapes():
         bgp_match(
             _triples(GRAPH), [("?x", "knows", "?y")], out_vars=["zzz"]
         ).take_all()
+    # pattern ids are int8: the 128th pattern must fail loudly, not wrap
+    with pytest.raises(ValueError, match="at most 127 patterns"):
+        bgp_match(
+            _triples(GRAPH), [("?x", f"p{i}", f"?v{i}") for i in range(128)]
+        )
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -5716,3 +5716,37 @@ class TestBmpDecoder:
 
         with _pytest.raises(NotImplementedError):
             DecodeStub()
+
+
+def test_attach_cache_evicts_least_recent_under_byte_cap(monkeypatch):
+    """The worker-global sameAs canon cache holds at most its byte cap:
+    a miss evicts least recently used tables first, and a table larger
+    than the cap is still cached (alone)."""
+    from collections import OrderedDict
+
+    from marc2rdf_ray.stages import canonicalize as cz
+
+    monkeypatch.setattr(cz, "_ATTACH_CACHE", OrderedDict())
+    monkeypatch.setattr(cz, "_ATTACH_CACHE_BYTES", 3000)
+    loads = []
+
+    def table(key, nbytes):
+        def load():
+            loads.append(key)
+            col = pa.array(np.zeros(nbytes // 16, np.int64))
+            return (col, col)
+        return load
+
+    for k in ("a", "b", "c"):
+        cz._attach_state(k, table(k, 1000))
+    assert list(cz._ATTACH_CACHE) == ["a", "b", "c"]
+    cz._attach_state("a", table("a", 1000))  # hit: no load, now newest
+    assert loads == ["a", "b", "c"]
+    cz._attach_state("d", table("d", 1000))  # evicts b, the least recent
+    assert list(cz._ATTACH_CACHE) == ["c", "a", "d"]
+    cz._attach_state("e", table("e", 2000))  # needs two slots: c, a go
+    assert list(cz._ATTACH_CACHE) == ["d", "e"]
+    cz._attach_state("big", table("big", 8000))
+    assert list(cz._ATTACH_CACHE) == ["big"]
+    cz._attach_state("b", table("b", 1000))
+    assert list(cz._ATTACH_CACHE) == ["b"] and loads[-1] == "b"

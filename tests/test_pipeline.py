@@ -241,7 +241,9 @@ def test_partition_level_resume_after_crash(ray_session, pages_dir, tmp_path):
     assert os.path.exists(os.path.join(out_dir, parts[0], "edges.parquet"))
 
 
-def test_checkpoint_resume_skips_reextraction(ray_session, pages_dir, tmp_path):
+def test_checkpoint_resume_skips_reextraction(
+    ray_session, pages_dir, tmp_path, monkeypatch
+):
     """After a crash (manifest lost, checkpoint intact+marked), the re-run
     reuses the raw checkpoint instead of re-extracting."""
     import shutil
@@ -264,6 +266,23 @@ def test_checkpoint_resume_skips_reextraction(ray_session, pages_dir, tmp_path):
     m2 = run_kg_pipeline(pages_dir, out_dir, PipelineConfig())
     assert m2.triple_count == m1.triple_count
     # checkpoint untouched -> extraction was skipped
+    assert {f: os.path.getmtime(f) for f in files} == mtimes
+
+    # manifest AND partitions gone: the certified sameAs staging is reused
+    # too -- no closure job runs -- and the graph is rebuilt identically
+    import marc2rdf_ray.pipelines.kg as kg
+
+    before = _graph_bytes(out_dir)
+    _drop_graph(out_dir)
+
+    def no_closure(*a, **k):
+        raise AssertionError("sameAs closure recomputed on a resume")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kg, "sameas_by_shared_key", no_closure)
+        m2b = run_kg_pipeline(pages_dir, out_dir, PipelineConfig())
+    assert m2b.partition_counts == m1.partition_counts
+    assert _graph_bytes(out_dir) == before
     assert {f: os.path.getmtime(f) for f in files} == mtimes
 
     # ``link`` is part of the run identity: a link=False run into the same
@@ -297,6 +316,78 @@ def test_checkpoint_resume_skips_reextraction(ray_session, pages_dir, tmp_path):
     assert mentions(out_dir) > 0
 
 
+def _drop_graph(out):
+    """Simulate a crash before the manifest: graph partitions and manifest
+    gone, checkpoints and staged sameAs left as they are."""
+    import shutil
+
+    os.remove(os.path.join(out, "_manifest.json"))
+    for d in os.listdir(out):
+        if d.startswith("part="):
+            shutil.rmtree(os.path.join(out, d))
+
+
+def _graph_bytes(out):
+    import gzip
+
+    return {
+        d: gzip.open(os.path.join(out, d, "edges.nt.gz"), "rb").read()
+        for d in sorted(os.listdir(out))
+        if d.startswith("part=")
+    }
+
+
+def test_sameas_staging_recomputed_when_uncertified(
+    ray_session, pages_dir, tmp_path, monkeypatch
+):
+    """The staged sameAs closure is reused only under the identity its
+    marker certifies: a missing ``_sameas_triples.complete``, a
+    re-extracted checkpoint, a ``link`` change or a ruleset change
+    recomputes it."""
+    import marc2rdf_ray.pipelines.kg as kg
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    calls = []
+    real = kg.sameas_by_shared_key
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(kg, "sameas_by_shared_key", counting)
+    out = str(tmp_path / "graph")
+    marker = os.path.join(out, "_sameas_triples.complete")
+    m1 = run_kg_pipeline(pages_dir, out, PipelineConfig())
+    assert len(calls) == 1 and os.path.exists(marker)
+    ident = open(marker).read()
+    assert ident == open(
+        os.path.join(out, "_raw_triples.complete")
+    ).read().split("\n")[0]
+    graph = _graph_bytes(out)
+
+    _drop_graph(out)
+    run_kg_pipeline(pages_dir, out, PipelineConfig())
+    assert len(calls) == 1  # certified: reused
+
+    _drop_graph(out)
+    os.remove(marker)
+    m2 = run_kg_pipeline(pages_dir, out, PipelineConfig())
+    assert len(calls) == 2 and open(marker).read() == ident
+    assert m2.partition_counts == m1.partition_counts
+    assert _graph_bytes(out) == graph
+
+    # a re-extracted checkpoint (its marker lost) restages the closure
+    _drop_graph(out)
+    os.remove(os.path.join(out, "_raw_triples.complete"))
+    run_kg_pipeline(pages_dir, out, PipelineConfig())
+    assert len(calls) == 3 and open(marker).read() == ident
+
+    run_kg_pipeline(pages_dir, out, PipelineConfig(), link=False)
+    assert len(calls) == 4 and open(marker).read() != ident
+    run_kg_pipeline(pages_dir, out, PipelineConfig(prefix="changed_"))
+    assert len(calls) == 5
+
+
 def test_dataset_input_matches_path_input(ray_session, pages_dir, tmp_path):
     """A pages Dataset (the CLI's --since/--limit input) builds the same
     graph as the same pages given as a path.  A Dataset has no input
@@ -321,6 +412,16 @@ def test_dataset_input_matches_path_input(ray_session, pages_dir, tmp_path):
     assert m2.partition_counts == m1.partition_counts
     assert edges(by_ds) == edges(by_path)
     assert not os.path.exists(os.path.join(by_ds, "_raw_triples.complete"))
+    assert not os.path.exists(os.path.join(by_ds, "_sameas_triples.complete"))
+    # a Dataset input keeps the unsplit checkpoint, whatever the pass count
+    by_ds3 = str(tmp_path / "by_ds3")
+    m3 = run_kg_pipeline(pages, by_ds3, PipelineConfig(materialize_shards=3))
+    assert m3.partition_counts == m1.partition_counts
+    assert not any(
+        d.startswith("shard=")
+        for pk in os.listdir(os.path.join(by_ds3, "_raw_triples"))
+        for d in os.listdir(os.path.join(by_ds3, "_raw_triples", pk))
+    )
 
 
 def test_token_index_matcher_edge_cases():
@@ -677,6 +778,49 @@ def test_sharded_materialize_byte_identical(ray_session, pages_dir, tmp_path):
         a = gzip.open(os.path.join(base, p, "edges.nt.gz"), "rb").read()
         b = gzip.open(os.path.join(sharded, p, "edges.nt.gz"), "rb").read()
         assert a == b, p
+
+    # the checkpoint is laid out per pass, so each pass reads only its
+    # own files; the marker records the layout it was written for
+    ckpt = os.path.join(sharded, "_raw_triples")
+    for pk in ("pk=0", "pk=1"):
+        assert sorted(os.listdir(os.path.join(ckpt, pk))) == [
+            "shard=0", "shard=1", "shard=2"
+        ]
+    assert open(ckpt + ".complete").read().split("\n")[1] == (
+        f"layout={m3.num_partitions},3"
+    )
+    files = [os.path.join(r, n) for r, _, ns in os.walk(ckpt) for n in ns]
+    mtimes = {f: os.path.getmtime(f) for f in files}
+
+    # another pass plan over the same checkpoint (layout mismatch): read
+    # whole and range-filtered, never re-extracted, still byte-identical
+    _drop_graph(sharded)
+    m2 = run_kg_pipeline(
+        pages_dir, sharded, PipelineConfig(materialize_shards=2)
+    )
+    assert m2.partition_counts == m1.partition_counts
+    assert _graph_bytes(sharded) == _graph_bytes(base)
+    assert {f: os.path.getmtime(f) for f in files} == mtimes
+
+
+def test_shard_of_matches_pass_ranges():
+    """Checkpoint writer and pass loop share one partition -> pass map:
+    the pass whose contiguous ``s*P//S`` range holds the partition."""
+    import numpy as np
+    import pyarrow as pa
+
+    from marc2rdf_ray.stages.materialize import shard_bounds, shard_of
+
+    for p_, s_ in ((16, 3), (16, 1), (17, 5), (8, 8), (512, 7)):
+        b = shard_bounds(p_, s_)
+        want = [
+            next(s for s in range(s_) if b[s] <= p < b[s + 1])
+            for p in range(p_)
+        ]
+        got = shard_of(pa.array(np.arange(p_), pa.int32()), p_, s_)
+        assert got.to_pylist() == want, (p_, s_)
+    # (p*S)//P would put p=5 in pass 0; the loop's ranges put it in pass 1
+    assert shard_of(pa.array([5], pa.int32()), 16, 3).to_pylist() == [1]
 
 
 def test_choose_shards_calibration(ray_session):

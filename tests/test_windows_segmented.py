@@ -8,12 +8,12 @@ import pyarrow as pa
 import pytest
 
 
-def _events(n, n_users, seed=7):
+def _events(n, n_users, seed=7, t0=0):
     import ray.data as rd
 
     rng = np.random.default_rng(seed)
     u = rng.integers(0, n_users, n)
-    ts = np.sort(rng.integers(0, 3_000_000_000_000, n))
+    ts = np.sort(rng.integers(t0, t0 + 3_000_000_000_000, n))
     return rd.from_arrow(
         pa.table(
             {
@@ -66,6 +66,53 @@ def test_running_totals_segmented_equals_plain():
     # negative values exercised: carry offsets must come from the last
     # running row, not a max
     assert any(r[4] < 0 for r in a)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_segmented_windows_across_the_epoch():
+    """Pre-epoch timestamps: segments are floor-divided everywhere, so
+    segments before, at and after ts=0 all scan right.  Five events of
+    one user at -3s..+1s with 2 s segments: the running count at -1 s is
+    3 (a truncating shuffle-key divide gave 2)."""
+    import ray.data as rd
+
+    from marc2rdf_ray.ops.windows import running_totals, sessionize
+
+    sec = 1_000_000
+    ts = [-3 * sec, -2 * sec, -1 * sec, sec // 2, sec]
+    five = rd.from_arrow(
+        pa.table(
+            {
+                "event_id": pa.array(range(5), pa.int64()),
+                "ts": pa.array(ts, pa.timestamp("us")),
+                "user_id": pa.array([0] * 5, pa.int64()),
+                "value": pa.array([1.0] * 5),
+            }
+        )
+    )
+    rows = running_totals(five, segment_us=2 * sec).take_all()
+    assert sorted((r["ts_us"], r["running_cnt"]) for r in rows) == [
+        (t, i + 1) for i, t in enumerate(ts)
+    ]
+
+    cols = ["event_id", "user_id", "ts_us", "running_cnt", "running_cents"]
+    t0 = -1_500_000_000_000
+    a = _key(running_totals(_events(20000, 20, t0=t0)).take_all(), cols)
+    b = _key(
+        running_totals(_events(20000, 20, t0=t0),
+                       segment_us=10_000_000_000).take_all(), cols)
+    assert a == b and len(a) == 20000
+    assert min(r[2] for r in a) < 0 < max(r[2] for r in a)
+
+    cols = ["user_id", "session_start_us", "n_events",
+            "sum_value_cents", "session_end_us"]
+    a = _key(
+        sessionize(_events(20000, 20, t0=t0), gap_us=1_800_000_000,
+                   with_end=True).take_all(), cols)
+    b = _key(
+        sessionize(_events(20000, 20, t0=t0), gap_us=1_800_000_000,
+                   with_end=True, segment_us=10_000_000_000).take_all(), cols)
+    assert a == b and min(r[1] for r in a) < 0 < max(r[1] for r in a)
 
 
 @pytest.mark.usefixtures("ray_session")
