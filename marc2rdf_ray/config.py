@@ -32,7 +32,6 @@ class PipelineConfig:
     extra_namespaces: dict = field(default_factory=dict)
 
     # engine knobs (sized for multi-node scale; see SURVEY.md §4.2)
-    batch_size: int = 1024          # pages per batch (html rows are wide)
     # >1 => sharded materialize (spill-cap loop): S sequential passes over
     # contiguous partition-id ranges, ~1/S object-store footprint each,
     # at the cost of re-reading the pruned checkpoint S times.

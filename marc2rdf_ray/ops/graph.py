@@ -5454,12 +5454,49 @@ def _scc_priority(nodes: "np.ndarray") -> "np.ndarray":
     every node's running max is itself).  Injective (low 32 bits are the
     node id), deterministic, positive int64 (top bit clear: 31-bit hash
     + 32-bit id < 2^63)."""
-    x = nodes.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    h = (_mix64(nodes) >> np.uint64(33)).astype(np.int64)
+    return (h << np.int64(32)) | nodes.astype(np.int64)
+
+
+def _mix64(x: "np.ndarray") -> "np.ndarray":
+    """splitmix64 finalizer (public constants) over uint64, elementwise."""
+    x = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    h = (x >> np.uint64(33)).astype(np.int64)
-    return (h << np.int64(32)) | nodes.astype(np.int64)
+    return x ^ (x >> np.uint64(31))
+
+
+def _color_fingerprint(c_ds) -> tuple:
+    """Two independent fingerprints of an SCC (node, color) table: the
+    wrap-sum mod 2^64 of the packed colors, and the xor of a splitmix
+    hash of each (node, color) row.  The color rounds stop when BOTH
+    repeat, so one wrap collision of the sum cannot end propagation early
+    (a changed table keeps the xor only when the hashes of its changed
+    rows xor to zero as well).  The xor hashes the node in: colors repeat
+    across a class, and an xor over colors alone cancels whenever an even
+    number of nodes move from one color to another.  One pass:
+    per-block partials reduced on the driver (one tiny row per block) --
+    a Sum aggregate of packed 63-bit values overflows int64 in the reduce
+    and Ray degrades to pickled Python bigints."""
+
+    def partials(b: pa.Table) -> pa.Table:
+        c = b["color"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        n = b["node"].to_numpy(zero_copy_only=False)
+        h = _mix64(_mix64(n) ^ c)
+        return pa.table(
+            {
+                "s": pa.array([c.sum(dtype=np.uint64)], pa.uint64()),
+                "x": pa.array(
+                    [np.bitwise_xor.reduce(h, dtype=np.uint64)], pa.uint64()
+                ),
+            }
+        )
+
+    s = x = 0
+    for r in c_ds.map_batches(partials, batch_format="pyarrow").take_all():
+        s += r["s"]
+        x ^= r["x"]
+    return s & ((1 << 64) - 1), x
 
 
 def _scc_solve_local(g: pa.Table) -> pa.Table:
@@ -5606,14 +5643,14 @@ def scc(
     bytes -- the normal bow-tie web-graph outcome -- ONE Tarjan task
     finishes it (set 0 to force the rounds); otherwise (c) color rounds
     are one edges-join-colors + per-batch max combiner + groupby-max
-    each (the pagerank exchange shape), converging by the monotone
-    color-sum fingerprint, and (d) backward reachability runs only over
-    intra-color edges (annotated once per round) with distinct-frontier
-    semi-joins.  Color/backward round counts are O(core diameter) --
-    the documented cost of exact distributed SCC; the trim + local-core
-    hybrid exists precisely so that path is rare.  All membership
-    filters are broadcast-or-join under ``broadcast_budget``; nothing
-    materializes on the driver.  The md5-graph contract query runs the
+    each (the pagerank exchange shape), converging when the color-sum
+    and hashed-xor fingerprints both repeat, and (d) backward
+    reachability runs only over intra-color edges (annotated once per
+    round) with distinct-frontier semi-joins.  Color/backward round
+    counts are O(core diameter) -- the documented cost of exact
+    distributed SCC; the trim + local-core hybrid exists precisely so
+    that path is rare.  All membership filters are broadcast-or-join
+    under ``broadcast_budget``; nothing materializes on the driver.  The md5-graph contract query runs the
     budget-gated :func:`scc_local` fast path; the distributed rounds
     are forced in the parity pytest."""
     from ray.data.aggregate import Max, Min
@@ -5890,30 +5927,6 @@ def scc(
 
         _MASK = (1 << 32) - 1
 
-        def colsum(c_ds):
-            # monotone fingerprint of the color table: wrap-sum mod 2^64
-            # of the packed priorities.  Per-block partials reduced on
-            # the driver (one tiny row per block) -- a Sum aggregate of
-            # packed 63-bit values overflows int64 in the reduce and
-            # Ray degrades to pickled Python bigints.
-            parts = c_ds.map_batches(
-                lambda b: pa.table(
-                    {
-                        "s": pa.array(
-                            [int(
-                                b["color"]
-                                .to_numpy(zero_copy_only=False)
-                                .astype(np.uint64)
-                                .sum(dtype=np.uint64)
-                            ) if len(b) else 0],
-                            pa.uint64(),
-                        )
-                    }
-                ),
-                batch_format="pyarrow",
-            ).take_all()
-            return sum(r["s"] for r in parts) & ((1 << 64) - 1)
-
         def max_combine(b: pa.Table) -> pa.Table:
             # per-batch (dst, max color) collapse ahead of the exchange
             d = b["dst"].to_numpy(zero_copy_only=False)
@@ -5975,7 +5988,7 @@ def scc(
             colors = act_n.map_batches(
                 prio_init, batch_format="pyarrow"
             ).materialize()
-            prev_fp = colsum(colors)
+            prev_fp = _color_fingerprint(colors)
             for r in range(max_inner):
                 contrib = attach(
                     e_ds, colors, "src", "ccol"
@@ -5987,7 +6000,7 @@ def scc(
                     .materialize()
                 )
                 colors = jump_compress(colors, phase)
-                fp = colsum(colors)
+                fp = _color_fingerprint(colors)
                 if fp == prev_fp:
                     logging.getLogger(__name__).info(
                         "scc outer %d: %s converged in %d rounds",

@@ -2,8 +2,9 @@
 reference's harvest->convert->update->enrich->rules lifecycle, SURVEY.md §3.3):
 
     plan P partitions, S passes               # from the pages bytes
-    read_parquet(pages)                       # url + html only (prune at read)
-      -> map_batches(extract_fn, ...)         # fused: parse + rules + linking
+    read_parquet(pages, 2 blocks per CPU)     # url + html only (prune at read)
+      -> map_batches(extract_fn)              # one task per block, fused:
+                                              #   parse + rules + linking
       -> write_parquet(raw triples,           # converter output checkpoint
            pk=*/shard=*)                      #   _raw_triples(.complete)
       -> sameAs + symmetry closure            # staged from the pk=1 sliver:
@@ -34,6 +35,7 @@ merge (pipelines/incremental.py): :func:`checkpoint_raw_triples` and
 
 from __future__ import annotations
 
+import json
 import logging
 from typing import NamedTuple, Optional
 
@@ -84,13 +86,27 @@ class KGExtract:
     """Fused pages -> triples stage (rules + entity linking + work derive).
 
     Built once per worker process (see ``_STAGE_CACHE``): the rule set is
-    compiled and the alias dictionary fetched in ``__init__``."""
+    compiled and the alias dictionary fetched in ``__init__``.
+
+    A call gets a whole read block; it converts it ``SLICE_ROWS`` pages at
+    a time, so the Python triples of at most that many pages are alive at
+    once whatever the block size."""
+
+    SLICE_ROWS = 1024
 
     def __init__(self, config: PipelineConfig, alias_ref=None):
         self.engine = config.build_engine()
         self.linker = EntityLinker(alias_ref) if alias_ref is not None else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        n = self.SLICE_ROWS
+        if len(batch) <= n:
+            return self._convert(batch)
+        return pa.concat_tables(
+            [self._convert(batch.slice(i, n)) for i in range(0, len(batch), n)]
+        )
+
+    def _convert(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         htmls = batch["html"].to_pylist()
         rows: list[tuple] = []
@@ -111,18 +127,37 @@ class KGExtract:
 # worker-process-global stage cache: stateless tasks reuse long-lived Ray
 # workers, so compiled rule sets / fetched alias dicts amortize exactly like
 # actor state but WITHOUT per-run actor-pool startup cost (which dominated
-# small runs and wrecked scaling efficiency).
+# small runs and wrecked scaling efficiency).  It holds one stage: the
+# newest (rule set, alias dictionary) a run asked for.
 _STAGE_CACHE: dict = {}
 
 
-def make_extract_fn(config: PipelineConfig, alias_ref):
-    key = (config.ruleset_hash(), str(alias_ref))
+def _alias_digest(alias_dict) -> str:
+    """Content identity of an alias dictionary (its ObjectRef changes with
+    every put; the dictionary does not)."""
+    import hashlib
+
+    if alias_dict is None:
+        return ""
+    text = json.dumps(sorted(alias_dict.items()), default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def make_extract_fn(config: PipelineConfig, alias_dict=None):
+    """The per-batch extraction function.  Puts ``alias_dict`` in the
+    object store once; each worker builds its :class:`KGExtract` on first
+    use and keeps it for later runs of the same rule set and alias
+    content, replacing whatever stage it held before."""
+    import ray
+
+    alias_ref = ray.put(alias_dict) if alias_dict is not None else None
+    key = (config.ruleset_hash(), _alias_digest(alias_dict))
 
     def extract_fn(batch):
         stage = _STAGE_CACHE.get(key)
         if stage is None:
-            stage = KGExtract(config, alias_ref)
-            _STAGE_CACHE[key] = stage
+            _STAGE_CACHE.clear()
+            stage = _STAGE_CACHE[key] = KGExtract(config, alias_ref)
         return stage(batch)
 
     return extract_fn
@@ -134,17 +169,20 @@ def extract_triples(pages_ds, config: PipelineConfig, alias_dict=None):
     worker-global compiled-rules cache (elastic, no pool startup); no
     alias dictionary => no entity linking.
 
+    Each block of ``pages_ds`` is one batch in its own task: the input's
+    block count is the extraction parallelism (Ray would bundle small
+    blocks up to a row-count batch size, which fused behind a read can
+    leave most CPUs idle), and :class:`KGExtract` bounds its memory by
+    slicing inside the block.
+
     ``config.triples_hook`` (the user-script replacement, SURVEY.md
     §2.10) runs here on every raw batch, fused right behind extraction,
     so every downstream consumer -- checkpoint, sameAs, dedup,
     materialize, window merges -- sees the hook's output."""
-    import ray
-
-    alias_ref = ray.put(alias_dict) if alias_dict is not None else None
     out = pages_ds.map_batches(
-        make_extract_fn(config, alias_ref),
+        make_extract_fn(config, alias_dict),
         batch_format="pyarrow",
-        batch_size=config.batch_size,
+        batch_size=None,
     )
     if config.triples_hook is not None:
         out = out.map_batches(
@@ -186,6 +224,20 @@ class RawCheckpoint(NamedTuple):
     ident: str  # run identity its marker certifies; "" = none (Dataset)
     layout: Optional[tuple]  # (P, S) of pk=*/shard=*; None = pk=* only
     reused: bool  # a certified checkpoint was kept; nothing was extracted
+    # (blocks, cpus) of the pages read it extracted; None = reused, or a
+    # Dataset input extracted in its own blocks
+    read_blocks: Optional[tuple] = None
+
+
+def _two_blocks_per_cpu(at_least: int = 0) -> tuple:
+    """``(blocks, cpus)``: the block count of every flagship read, two per
+    cluster CPU (and at least ``at_least``).  Two per CPU keeps every CPU
+    busy while a slow block finishes; more start extra Ray workers and
+    raise peak memory."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(at_least, 2 * cpus), cpus
 
 
 def _read_marker(fs, marker: str) -> tuple:
@@ -205,7 +257,10 @@ def checkpoint_raw_triples(
 ) -> RawCheckpoint:
     """Extract ``pages`` (a pages parquet path or Dataset) into the raw
     triples checkpoint ``ckpt``, unless a completed checkpoint of the same
-    run is already there.
+    run is already there.  A path is read in :func:`_two_blocks_per_cpu`
+    blocks,
+    at least one per pages file, each extracted by its own task; a
+    Dataset is extracted in its own blocks.
 
     The run identity is ``sig:ruleset:link=N`` (input signature ``sig``,
     rule set, ``link``).  The marker ``<ckpt>.complete`` carrying it is
@@ -233,6 +288,7 @@ def checkpoint_raw_triples(
 
     from ..functions.hashing import bucket_codes
     from ..stages.materialize import shard_of
+    from ..state.manifest import list_input_files
 
     ident = f"{sig}:{config.ruleset_hash()}:link={int(link)}" if sig else ""
     marker = ckpt + ".complete"
@@ -243,8 +299,14 @@ def checkpoint_raw_triples(
     for m in (marker, *derived_markers):
         fsio.delete_file(fs, m)
     fsio.rmtree(fs, ckpt)
+    blocks = None
     if isinstance(pages, str):
-        pages = rd.read_parquet(pages, columns=["url", "html"])
+        # at least one block per pages file, so a corpus of many files is
+        # never bundled into fewer, bigger tasks than it has files
+        blocks = _two_blocks_per_cpu(len(list_input_files(pages)))
+        pages = rd.read_parquet(
+            pages, columns=["url", "html"], override_num_blocks=blocks[0]
+        )
     if alias_dict is None and link:
         alias_dict = build_alias_dict()
     key_pred = pa.scalar(sameas_key_pred_for(config))
@@ -271,7 +333,7 @@ def checkpoint_raw_triples(
         else:
             ident_text = ident
         fsio.write_text_atomic(fs, marker, ident_text)
-    return RawCheckpoint(ident, layout, False)
+    return RawCheckpoint(ident, layout, False, blocks)
 
 
 def stage_sameas_closure(
@@ -371,10 +433,10 @@ def run_kg_pipeline(
     own ~1/S.  A checkpoint reused from a run with another plan is read
     whole by every pass (range-filtered, never re-extracted).  A Dataset
     input keeps the unsplit checkpoint and is sized from it.  One INFO
-    line per run names P, S, the bytes behind them and which stages were
-    reused.
+    line per run names P, S, the bytes behind them, which stages were
+    reused and, when it extracted, the pages read's block count and the
+    CPU count behind it.
     """
-    import ray
     import ray.data as rd
 
     from ..stages.materialize import plan_passes
@@ -432,11 +494,17 @@ def run_kg_pipeline(
             in_bytes, num_partitions, config.materialize_shards
         )
     num_partitions, shards = layout
+    if raw.reused:
+        ckpt_how = "reused ("
+    elif raw.read_blocks:
+        ckpt_how = "extracted (read_blocks=%d for cpus=%d, " % raw.read_blocks
+    else:
+        ckpt_how = "extracted (input blocks, "
     logger.info(
-        "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %s "
-        "(layout %s); sameAs closure %s",
+        "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %slayout "
+        "%s); sameAs closure %s",
         num_partitions, shards, "pages" if input_paths else "ckpt x 13",
-        in_bytes, "reused" if raw.reused else "extracted",
+        in_bytes, ckpt_how,
         "P,S=%d,%d" % raw.layout if raw.layout else "pk only",
         "reused" if sameas_reused else "staged",
     )
@@ -449,8 +517,7 @@ def run_kg_pipeline(
     # pages -- two all-to-alls double-buffer the whole dataset).
     # Single linear chain into materialize: read -> prep -> sort -> write,
     # exactly one all-to-all, no multi-input operators.
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    nblocks = max(8, ncpu * 2)
+    nblocks, ncpu = _two_blocks_per_cpu(8)
 
     def read(files, num_blocks):
         # an empty file list falls back to the whole checkpoint: the

@@ -88,3 +88,26 @@ def test_scc_deep_cycle_bounded_rounds():
     )
     assert fast == slow
     assert slow[0] == 0 and slow[1000] == 0  # one big cycle component
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_scc_converges_on_xor_when_sum_fingerprint_collides(monkeypatch):
+    """The color rounds stop only when the wrap-sum AND the hashed-xor
+    fingerprints repeat: with the sum forced to collide on every round
+    (as a mod-2^64 wrap could), the labels still match local Tarjan."""
+    from marc2rdf_ray.ops import graph
+    from marc2rdf_ray.ops.graph import scc, scc_local
+
+    real = graph._color_fingerprint
+    monkeypatch.setattr(
+        graph, "_color_fingerprint", lambda c_ds: (0, real(c_ds)[1])
+    )
+    # a 16-cycle plus a 3-cycle hanging off it: the forward colors need
+    # more than one relax + jump round, so stopping on the colliding sum
+    # alone would label with half-propagated colors
+    n = 16
+    src = list(range(n)) + [n, n + 1, n + 2, 5]
+    dst = [(i + 1) % n for i in range(n)] + [n + 1, n + 2, n, n]
+    want = _labels(scc_local(_ds(src, dst)))
+    assert _labels(scc(_ds(src, dst), local_core_budget=0)) == want
+    assert len(set(want.values())) == 2

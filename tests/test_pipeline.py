@@ -102,6 +102,101 @@ def test_linking_emits_mentions(ray_session, pages_dir, tmp_path):
     assert n > 50  # every page body mentions its author + keywords
 
 
+def test_extract_triples_keeps_the_input_blocks(ray_session, pages_dir):
+    """Each pages block is extracted by its own task: 8 blocks of 15 pages
+    come out as at least 8 blocks, not bundled up to a row-count batch."""
+    import ray.data as rd
+
+    from marc2rdf_ray.pipelines.kg import extract_triples
+    from marc2rdf_ray.stages.link import build_alias_dict
+
+    table = pq.read_table(
+        os.path.join(pages_dir, "pages.parquet"), columns=["url", "html"]
+    )
+    ds = rd.from_arrow([table.slice(i, 15) for i in range(0, 120, 15)])
+    raw = extract_triples(ds, PipelineConfig(), build_alias_dict())
+    assert raw.materialize().num_blocks() >= 8
+
+
+def test_path_input_extracts_on_every_cpu(
+    ray_session, pages_dir, tmp_path, caplog
+):
+    """The one-file 120-page corpus is read in 2 blocks per CPU and each
+    block is extracted (and written) by its own task: at 4 CPUs the
+    checkpoint's pk=0 holds at least 4 files.  The run's INFO line names
+    the read block count and the CPU count behind it."""
+    import logging
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    out = str(tmp_path / "graph")
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.pipelines.kg"):
+        run_kg_pipeline(pages_dir, out, PipelineConfig())
+    pk0 = os.path.join(out, "_raw_triples", "pk=0")
+    assert sum(len(ns) for _, _, ns in os.walk(pk0)) >= 4
+    assert "checkpoint extracted (read_blocks=8 for cpus=4, " in caplog.text
+
+
+def test_kg_extract_slices_long_blocks(pages_dir):
+    """A block longer than ``SLICE_ROWS`` is converted slice by slice: the
+    rows equal those of separate calls on the slices, and of one call on
+    the whole block."""
+    import pyarrow as pa
+
+    from marc2rdf_ray.pipelines.kg import KGExtract
+    from marc2rdf_ray.stages.link import build_alias_dict
+
+    table = pq.read_table(
+        os.path.join(pages_dir, "pages.parquet"), columns=["url", "html"]
+    )
+    stage = KGExtract(PipelineConfig(), build_alias_dict())
+    whole = stage(table)
+    stage.SLICE_ROWS = 7
+    pieces = []
+    convert = stage._convert
+    stage._convert = lambda b: pieces.append(len(b)) or convert(b)
+    sliced = stage(table)
+    assert max(pieces) == 7 and sum(pieces) == len(table)
+    by_slice = pa.concat_tables(
+        [stage(table.slice(i, 7)) for i in range(0, len(table), 7)]
+    )
+    assert sliced.to_pylist() == by_slice.to_pylist() == whole.to_pylist()
+    assert sliced.num_rows > len(table)
+
+
+def test_stage_cache_keys_on_alias_content(
+    ray_session, pages_dir, monkeypatch
+):
+    """A worker keeps one extraction stage, keyed by rule set and alias
+    dictionary CONTENT: equal dictionaries in different object refs reuse
+    it, another dictionary replaces it."""
+    from marc2rdf_ray.pipelines import kg
+    from marc2rdf_ray.stages.link import build_alias_dict
+
+    built = []
+
+    class CountingExtract(kg.KGExtract):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kg, "KGExtract", CountingExtract)
+    monkeypatch.setattr(kg, "_STAGE_CACHE", {})
+    batch = pq.read_table(
+        os.path.join(pages_dir, "pages.parquet"), columns=["url", "html"]
+    ).slice(0, 3)
+    config = PipelineConfig()
+    first = kg.make_extract_fn(config, build_alias_dict())(batch)
+    again = kg.make_extract_fn(config, build_alias_dict())(batch)
+    assert len(built) == 1
+    assert again.equals(first)
+    other = build_alias_dict()
+    other.pop(next(iter(other)))
+    kg.make_extract_fn(config, other)(batch)
+    assert len(built) == 2
+    assert len(kg._STAGE_CACHE) == 1
+
+
 def test_duplicate_pages_share_content_triples(ray_session, pages_dir):
     """i%20==19 pages duplicate page i-1's body: dedup-relevant fixture."""
     table = pq.read_table(os.path.join(pages_dir, "pages.parquet"))
