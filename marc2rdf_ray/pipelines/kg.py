@@ -2,7 +2,8 @@
 reference's harvest->convert->update->enrich->rules lifecycle, SURVEY.md §3.3):
 
     plan P partitions, S passes               # from the pages bytes
-    read_parquet(pages, 2 blocks per CPU)     # url + html only (prune at read)
+    read_parquet(pages, 2 blocks per CPU,     # url + html only (prune at read)
+                 none under 256 KiB)
       -> map_batches(extract_fn)              # one task per block, fused:
                                               #   parse + rules + linking
       -> write_parquet(raw triples,           # converter output checkpoint
@@ -35,7 +36,6 @@ merge (pipelines/incremental.py): :func:`checkpoint_raw_triples` and
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import NamedTuple, Optional
 
@@ -86,7 +86,9 @@ class KGExtract:
     """Fused pages -> triples stage (rules + entity linking + work derive).
 
     Built once per worker process (see ``_STAGE_CACHE``): the rule set is
-    compiled and the alias dictionary fetched in ``__init__``.
+    compiled and the alias dictionary fetched in ``__init__``.  ``aliases``
+    is the dictionary, or an ObjectRef of its pickle
+    (:func:`make_extract_fn`).
 
     A call gets a whole read block; it converts it ``SLICE_ROWS`` pages at
     a time, so the Python triples of at most that many pages are alive at
@@ -94,9 +96,15 @@ class KGExtract:
 
     SLICE_ROWS = 1024
 
-    def __init__(self, config: PipelineConfig, alias_ref=None):
+    def __init__(self, config: PipelineConfig, aliases=None):
+        import pickle
+
+        import ray
+
         self.engine = config.build_engine()
-        self.linker = EntityLinker(alias_ref) if alias_ref is not None else None
+        if isinstance(aliases, ray.ObjectRef):
+            aliases = pickle.loads(ray.get(aliases))
+        self.linker = EntityLinker(aliases) if aliases is not None else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = self.SLICE_ROWS
@@ -132,26 +140,27 @@ class KGExtract:
 _STAGE_CACHE: dict = {}
 
 
-def _alias_digest(alias_dict) -> str:
-    """Content identity of an alias dictionary (its ObjectRef changes with
-    every put; the dictionary does not)."""
-    import hashlib
-
-    if alias_dict is None:
-        return ""
-    text = json.dumps(sorted(alias_dict.items()), default=str)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def make_extract_fn(config: PipelineConfig, alias_dict=None):
-    """The per-batch extraction function.  Puts ``alias_dict`` in the
-    object store once; each worker builds its :class:`KGExtract` on first
-    use and keeps it for later runs of the same rule set and alias
-    content, replacing whatever stage it held before."""
+    """The per-batch extraction function.  Each worker builds its
+    :class:`KGExtract` on first use and keeps it for later runs of the
+    same rule set and alias content, replacing whatever stage it held
+    before.
+
+    ``alias_dict`` is pickled once: the sha256 of the pickle is the
+    content key (an ObjectRef is new on every put; equal dictionaries
+    built alike pickle alike), and the pickle is what goes in the object
+    store.  For 1M aliases that takes 2.3 s, where ``ray.put`` of the
+    dictionary itself took 3.1 s."""
+    import hashlib
+    import pickle
+
     import ray
 
-    alias_ref = ray.put(alias_dict) if alias_dict is not None else None
-    key = (config.ruleset_hash(), _alias_digest(alias_dict))
+    alias_ref, digest = None, ""
+    if alias_dict is not None:
+        blob = pickle.dumps(alias_dict, protocol=pickle.HIGHEST_PROTOCOL)
+        alias_ref, digest = ray.put(blob), hashlib.sha256(blob).hexdigest()
+    key = (config.ruleset_hash(), digest)
 
     def extract_fn(batch):
         stage = _STAGE_CACHE.get(key)
@@ -229,17 +238,6 @@ class RawCheckpoint(NamedTuple):
     read_blocks: Optional[tuple] = None
 
 
-def _two_blocks_per_cpu(at_least: int = 0) -> tuple:
-    """``(blocks, cpus)``: the block count of every flagship read, two per
-    cluster CPU (and at least ``at_least``).  Two per CPU keeps every CPU
-    busy while a slow block finishes; more start extra Ray workers and
-    raise peak memory."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(at_least, 2 * cpus), cpus
-
-
 def _read_marker(fs, marker: str) -> tuple:
     """(identity, layout) recorded in a checkpoint marker."""
     lines = (fsio.read_text(fs, marker) or "").split("\n")
@@ -257,10 +255,10 @@ def checkpoint_raw_triples(
 ) -> RawCheckpoint:
     """Extract ``pages`` (a pages parquet path or Dataset) into the raw
     triples checkpoint ``ckpt``, unless a completed checkpoint of the same
-    run is already there.  A path is read in :func:`_two_blocks_per_cpu`
-    blocks,
-    at least one per pages file, each extracted by its own task; a
-    Dataset is extracted in its own blocks.
+    run is already there.  A path is read in
+    ``sources.incremental.pages_read_blocks`` blocks (two per CPU, at
+    least one per pages file, none under 256 KiB), each extracted by its
+    own task; a Dataset is extracted in its own blocks.
 
     The run identity is ``sig:ruleset:link=N`` (input signature ``sig``,
     rule set, ``link``).  The marker ``<ckpt>.complete`` carrying it is
@@ -287,6 +285,7 @@ def checkpoint_raw_triples(
     import ray.data as rd
 
     from ..functions.hashing import bucket_codes
+    from ..sources.incremental import pages_read_blocks
     from ..stages.materialize import shard_of
     from ..state.manifest import list_input_files
 
@@ -301,9 +300,7 @@ def checkpoint_raw_triples(
     fsio.rmtree(fs, ckpt)
     blocks = None
     if isinstance(pages, str):
-        # at least one block per pages file, so a corpus of many files is
-        # never bundled into fewer, bigger tasks than it has files
-        blocks = _two_blocks_per_cpu(len(list_input_files(pages)))
+        blocks = pages_read_blocks(list_input_files(pages))
         pages = rd.read_parquet(
             pages, columns=["url", "html"], override_num_blocks=blocks[0]
         )
@@ -439,6 +436,7 @@ def run_kg_pipeline(
     """
     import ray.data as rd
 
+    from ..sources.incremental import two_blocks_per_cpu
     from ..stages.materialize import plan_passes
     from ..state.manifest import (
         input_signature,
@@ -517,7 +515,7 @@ def run_kg_pipeline(
     # pages -- two all-to-alls double-buffer the whole dataset).
     # Single linear chain into materialize: read -> prep -> sort -> write,
     # exactly one all-to-all, no multi-input operators.
-    nblocks, ncpu = _two_blocks_per_cpu(8)
+    nblocks, ncpu = two_blocks_per_cpu(8)
 
     def read(files, num_blocks):
         # an empty file list falls back to the whole checkpoint: the

@@ -17,6 +17,13 @@ from __future__ import annotations
 import datetime as _dt
 from typing import Optional
 
+# The smallest pages read block worth its own extraction task (~40 pages of
+# ~6.7 KB).  Read -> extract -> write at 4 CPUs, median of 3: 400 pages
+# (2.7 MB) take 1.12 s in 1 block, 0.67 s in 4, 0.73 s in 8 and 0.96 s in
+# 16 (168 KB each); 40 and 120 pages take the same in 1 to 8 blocks.  A
+# smaller block only adds checkpoint files that every later read opens.
+MIN_READ_BLOCK_BYTES = 256 << 10
+
 
 def _to_ts(x) -> Optional[_dt.datetime]:
     if x is None:
@@ -26,6 +33,28 @@ def _to_ts(x) -> Optional[_dt.datetime]:
     if isinstance(x, _dt.date):
         return _dt.datetime(x.year, x.month, x.day)
     return _dt.datetime.fromisoformat(str(x))
+
+
+def two_blocks_per_cpu(at_least: int = 0) -> tuple[int, int]:
+    """``(blocks, cpus)``: two read blocks per cluster CPU, and at least
+    ``at_least``.  Two per CPU keeps every CPU busy while a slow block
+    finishes; more start extra Ray workers and raise peak memory."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(at_least, 2 * cpus), cpus
+
+
+def pages_read_blocks(files: list[str]) -> tuple[int, int]:
+    """``(blocks, cpus)`` for reading the pages ``files`` to extract them,
+    one task per block: :func:`two_blocks_per_cpu`, at least one per file,
+    but no block under ``MIN_READ_BLOCK_BYTES`` of pages parquet, so a
+    small input (a merge window) is not fanned out into tiny tasks."""
+    from ..state import fsio
+
+    blocks, cpus = two_blocks_per_cpu(len(files))
+    by_size = -(-fsio.total_size(files) // MIN_READ_BLOCK_BYTES)
+    return max(1, min(blocks, by_size)), cpus
 
 
 def read_pages_window(
@@ -39,9 +68,15 @@ def read_pages_window(
     Default window = yesterday -> today when both bounds are None with
     ``default_daily=True`` semantics left to the caller (the reference
     defaults from=yesterday, until=today, oaiclient.rb:29-30).
+
+    Read in :func:`pages_read_blocks` blocks of the whole pages path (the
+    window filter prunes row groups, not files), so the flagship extracts
+    it in as many tasks as the path itself.
     """
     import pyarrow.compute as pc
     import ray.data as rd
+
+    from ..state.manifest import list_input_files
 
     since_ts, until_ts = _to_ts(since), _to_ts(until)
     flt = None
@@ -55,7 +90,8 @@ def read_pages_window(
         kwargs["columns"] = columns
     if flt is not None:
         kwargs["filter"] = flt  # row-group pushdown (prune at the read)
-    return rd.read_parquet(path, **kwargs)
+    blocks, _ = pages_read_blocks(list_input_files(path))
+    return rd.read_parquet(path, override_num_blocks=blocks, **kwargs)
 
 
 def daily_window(today=None) -> tuple[_dt.datetime, _dt.datetime]:

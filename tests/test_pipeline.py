@@ -118,13 +118,17 @@ def test_extract_triples_keeps_the_input_blocks(ray_session, pages_dir):
     assert raw.materialize().num_blocks() >= 8
 
 
+def _files_under(d):
+    return sum(len(ns) for _, _, ns in os.walk(d))
+
+
 def test_path_input_extracts_on_every_cpu(
     ray_session, pages_dir, tmp_path, caplog
 ):
-    """The one-file 120-page corpus is read in 2 blocks per CPU and each
-    block is extracted (and written) by its own task: at 4 CPUs the
-    checkpoint's pk=0 holds at least 4 files.  The run's INFO line names
-    the read block count and the CPU count behind it."""
+    """The one-file 120-page corpus (785 KiB) is read in one block per
+    256 KiB, 4 at 4 CPUs, and each block is extracted (and written) by
+    its own task: the checkpoint's pk=0 holds 4 files.  The run's INFO
+    line names the read block count and the CPU count behind it."""
     import logging
 
     from marc2rdf_ray.pipelines.kg import run_kg_pipeline
@@ -132,9 +136,63 @@ def test_path_input_extracts_on_every_cpu(
     out = str(tmp_path / "graph")
     with caplog.at_level(logging.INFO, logger="marc2rdf_ray.pipelines.kg"):
         run_kg_pipeline(pages_dir, out, PipelineConfig())
-    pk0 = os.path.join(out, "_raw_triples", "pk=0")
-    assert sum(len(ns) for _, _, ns in os.walk(pk0)) >= 4
-    assert "checkpoint extracted (read_blocks=8 for cpus=4, " in caplog.text
+    assert _files_under(os.path.join(out, "_raw_triples", "pk=0")) == 4
+    assert "checkpoint extracted (read_blocks=4 for cpus=4, " in caplog.text
+
+
+def test_pages_read_blocks_bounded_by_size(ray_session, tmp_path):
+    """Two blocks per CPU, at least one per file, but none under
+    ``MIN_READ_BLOCK_BYTES``: a small window in many files is not fanned
+    out into a task per file or per CPU."""
+    from marc2rdf_ray.sources.incremental import (
+        MIN_READ_BLOCK_BYTES,
+        pages_read_blocks,
+    )
+
+    def files(n, size):
+        d = tmp_path / f"{n}x{size}"
+        d.mkdir()
+        for i in range(n):
+            (d / f"{i}.parquet").write_bytes(b"x" * size)
+        return [str(d / f"{i}.parquet") for i in range(n)]
+
+    floor = MIN_READ_BLOCK_BYTES
+    assert pages_read_blocks(files(8, 35 << 10)) == (2, 4)  # a 40-page window
+    assert pages_read_blocks(files(1, 10)) == (1, 4)
+    assert pages_read_blocks(files(1, 3 * floor)) == (3, 4)
+    assert pages_read_blocks(files(2, 64 * floor)) == (8, 4)
+    assert pages_read_blocks(files(12, 2 * floor)) == (12, 4)
+
+
+def test_window_dataset_input_extracts_like_the_path(
+    ray_session, pages_dir, tmp_path, caplog
+):
+    """The CLI's ``--since/--until/--limit`` input, a ``read_pages_window``
+    Dataset, is read in the path's block count: its checkpoint has as
+    many pk=0 files as the path input's (Ray's default read splits the
+    fixture into 8 blocks), and the plan sized from that checkpoint picks
+    the path input's P and S."""
+    import logging
+    import re
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+    from marc2rdf_ray.sources.incremental import read_pages_window
+
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.pipelines.kg"):
+        run_kg_pipeline(pages_dir, str(tmp_path / "p"), PipelineConfig())
+        run_kg_pipeline(
+            read_pages_window(pages_dir, columns=["url", "html"]),
+            str(tmp_path / "d"),
+            PipelineConfig(),
+        )
+    files = [
+        _files_under(os.path.join(tmp_path, side, "_raw_triples", "pk=0"))
+        for side in ("p", "d")
+    ]
+    assert files == [4, 4]
+    plans = re.findall(r"kg: partitions=(\d+) shards=(\d+)", caplog.text)
+    assert len(plans) == 2 and plans[0] == plans[1]
+    assert "checkpoint extracted (input blocks, " in caplog.text
 
 
 def test_kg_extract_slices_long_blocks(pages_dir):
