@@ -178,15 +178,14 @@ def pagerank_microbench(n_edges: int = 1_000_000) -> float:
     return wall
 
 
-def triangle_microbench(n_edges: int = 1_000_000) -> float:
-    """Triangle count over a synthetic graph with real triangle density:
-    ring edges (i, i+1), (i, i+2) — every i closes a triangle — plus a
-    hub (exercises the degree orientation) and random noise."""
+def ring_graph_edges(n_edges: int):
+    """Synthetic graph with real triangle density, as a Dataset of
+    (src, dst): ring edges (i, i+1), (i, i+2) -- every i closes a
+    triangle -- plus a hub (exercises the degree orientation) and random
+    noise.  Shared by the triangle and k-truss microbenchmarks."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-
-    from marc2rdf_ray.ops.graph import triangle_count
 
     n_nodes = n_edges // 3
 
@@ -201,39 +200,29 @@ def triangle_microbench(n_edges: int = 1_000_000) -> float:
              "dst": pa.array(dst, pa.int64())}
         )
 
-    edges = rd.range(n_nodes).map_batches(gen, batch_format="pyarrow")
+    return rd.range(n_nodes).map_batches(gen, batch_format="pyarrow")
+
+
+def triangle_microbench(n_edges: int = 1_000_000) -> float:
+    """Triangle count over :func:`ring_graph_edges`."""
+    from marc2rdf_ray.ops.graph import triangle_count
+
+    edges = ring_graph_edges(n_edges)
     t0 = time.time()
     n = triangle_count(edges)
     wall = time.time() - t0
-    assert n >= n_nodes  # at least the ring triangles
+    assert n >= n_edges // 3  # at least the ring triangles
     return wall
 
 
 def ktruss_microbench(n_edges: int = 1_000_000) -> float:
-    """k-truss (k=3, 2 rounds, distributed path forced) over the
-    triangle_microbench graph -- each round is a full triangle-listing
+    """k-truss (k=3, 2 rounds, distributed path forced) over
+    :func:`ring_graph_edges` -- each round is a full triangle-listing
     support pass + an edge filter, so this times the edge-peel family
     one notch above plain triangle counting."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
     from marc2rdf_ray.ops.graph import ktruss
 
-    n_nodes = n_edges // 3
-
-    def gen(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["id"].to_pylist(), np.int64)
-        src = np.concatenate([ids, ids, ids])
-        dst = np.concatenate(
-            [(ids + 1) % n_nodes, (ids + 2) % n_nodes, (ids * 13) % n_nodes]
-        )
-        return pa.table(
-            {"src": pa.array(src, pa.int64()),
-             "dst": pa.array(dst, pa.int64())}
-        )
-
-    edges = rd.range(n_nodes).map_batches(gen, batch_format="pyarrow")
+    edges = ring_graph_edges(n_edges)
     t0 = time.time()
     n = ktruss(edges, k=3, rounds=2, local_budget=0).count()
     wall = time.time() - t0

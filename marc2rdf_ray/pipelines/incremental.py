@@ -49,13 +49,19 @@ from ..state.manifest import (
     write_manifest,
 )
 from ..vocab import OWL_SAMEAS
-from .kg import TRIPLE_COLS, checkpoint_raw_triples, stage_sameas_closure
+from .kg import (
+    TRIPLE_COLS,
+    checkpoint_raw_triples,
+    stage_sameas_closure,
+    without_op_reservation,
+)
 
 
 def _win_id(sig: str) -> str:
     return sig[:12]
 
 
+@without_op_reservation
 def merge_window_into_graph(
     new_pages_path: str,
     out_dir: str,

@@ -18,6 +18,13 @@ A resumed run whose markers match its identity re-derives nothing they
 certify: the checkpoint skips extraction, the staged closure skips the
 sameAs jobs, and each pass reads only its own checkpoint files.
 
+Execution policy: every Ray Data job above, and the window merge's, runs
+without Ray's per-operator resource reservation
+(:func:`without_op_reservation` on the entry points): each puts an
+all-to-all in front of its downstream operators or is one fused operator,
+so reserved CPUs would idle behind the barrier while the reads before it
+ran one task at a time.
+
 Stage-fusion note: HTML parse, rule-driven triple extraction, entity linking
 and per-record work propagation all happen in ONE map_batches pass -- the
 html column never crosses a stage boundary, which at 100 TB halves
@@ -36,6 +43,7 @@ merge (pipelines/incremental.py): :func:`checkpoint_raw_triples` and
 
 from __future__ import annotations
 
+import functools
 import logging
 from typing import NamedTuple, Optional
 
@@ -57,12 +65,50 @@ CREATOR_PRED = DEFAULT_VOCAB.resolve("DC.creator")
 
 TRIPLE_COLS = ["subj", "pred", "obj", "obj_kind", "lang", "src"]
 
+# Pages parquet bytes per row of the raw checkpoint plus the staged sameAs
+# closure: the pages-equivalent size of a Dataset input.  Measured on
+# synthetic corpora written like write_pages_dataset: 800 pages 102.7,
+# 2.5k 102.2, 3.5k 102.0 (23.75 MB / 232,779 rows), 12k 101.3.
+PAGES_BYTES_PER_RAW_ROW = 102
+
 logger = logging.getLogger(__name__)
 
 
 def sameas_key_pred_for(config: "PipelineConfig") -> str:
     """The shared-identifier predicate the sameAs stage joins on (J4)."""
     return ISBN_PRED
+
+
+def without_op_reservation(fn):
+    """Run ``fn`` with ``DataContext.op_resource_reservation_enabled``
+    off, restoring the caller's value when it returns or raises.
+
+    A Dataset copies the current DataContext when it is created, so every
+    Dataset ``fn`` creates runs without Ray's per-operator reservation.
+    The flagship's jobs gain nothing from it: extraction is one fused
+    operator, and every other job puts an all-to-all (the materialize
+    sort, the merge's groupby) in front of operators that cannot start
+    until it has all its input; Ray already lifts the memory budget of an
+    operator feeding an all-to-all.  With reservation on, CPUs sit
+    reserved for those downstream operators while the upstream reads run
+    one task at a time.  A Dataset the caller built before the call (a
+    pages Dataset input) keeps the caller's context, and so do the
+    operators chained onto it.  Nesting is harmless: an inner call
+    restores the outer call's ``False``."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        from ray.data import DataContext
+
+        ctx = DataContext.get_current()
+        prior = ctx.op_resource_reservation_enabled
+        ctx.op_resource_reservation_enabled = False
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            ctx.op_resource_reservation_enabled = prior
+
+    return run
 
 
 def derive_work_triples(triples: list[tuple], src: str) -> list[tuple]:
@@ -248,6 +294,7 @@ def _read_marker(fs, marker: str) -> tuple:
     return lines[0].strip(), layout
 
 
+@without_op_reservation
 def checkpoint_raw_triples(
     pages, ckpt: str, fs, config: PipelineConfig, alias_dict, *,
     link: bool, sig: str, layout: Optional[tuple] = None,
@@ -333,6 +380,7 @@ def checkpoint_raw_triples(
     return RawCheckpoint(ident, layout, False, blocks)
 
 
+@without_op_reservation
 def stage_sameas_closure(
     ckpts: list[str], out: str, fs, config: PipelineConfig, ident: str = ""
 ) -> tuple:
@@ -387,6 +435,7 @@ def stage_sameas_closure(
     return fsio.list_files_recursive(fs, out), False
 
 
+@without_op_reservation
 def run_kg_pipeline(
     pages_path,
     out_dir: str,
@@ -429,11 +478,13 @@ def run_kg_pipeline(
     checkpoint is written as ``pk=*/shard=*`` and pass s reads only its
     own ~1/S.  A checkpoint reused from a run with another plan is read
     whole by every pass (range-filtered, never re-extracted).  A Dataset
-    input keeps the unsplit checkpoint and is sized from it.  One INFO
+    input keeps the unsplit checkpoint and is sized from its rows (and the
+    staged closure's) times ``PAGES_BYTES_PER_RAW_ROW``.  One INFO
     line per run names P, S, the bytes behind them, which stages were
     reused and, when it extracted, the pages read's block count and the
     CPU count behind it.
     """
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from ..sources.incremental import two_blocks_per_cpu
@@ -483,11 +534,14 @@ def run_kg_pipeline(
     )
     ckpt_files = fsio.list_files_recursive(fs, ckpt)
     if layout is None:
-        # pages-equivalent sizing for the auto-shard spill cap when the
-        # input was a DATASET (no pages files to size).  Calibration:
-        # pages parquet is ~13x the compressed triples checkpoint (2M:
-        # 13 GB pages / ~1 GB ckpt; 8M: 54 GB / 4.0 GB).
-        in_bytes = fsio.total_size(ckpt_files + sameas_files, fs) * 13
+        # a DATASET input has no pages files to size: size it from the
+        # rows the checkpoint and the staged closure hold (their parquet
+        # footers), which the number of files they were written in does
+        # not change
+        in_bytes = PAGES_BYTES_PER_RAW_ROW * sum(
+            pq.read_metadata(f, filesystem=fs).num_rows
+            for f in ckpt_files + sameas_files
+        )
         layout = plan_passes(
             in_bytes, num_partitions, config.materialize_shards
         )
@@ -501,7 +555,8 @@ def run_kg_pipeline(
     logger.info(
         "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %slayout "
         "%s); sameAs closure %s",
-        num_partitions, shards, "pages" if input_paths else "ckpt x 13",
+        num_partitions, shards,
+        "pages" if input_paths else "ckpt rows x %d" % PAGES_BYTES_PER_RAW_ROW,
         in_bytes, ckpt_how,
         "P,S=%d,%d" % raw.layout if raw.layout else "pk only",
         "reused" if sameas_reused else "staged",

@@ -577,6 +577,133 @@ def test_dataset_input_matches_path_input(ray_session, pages_dir, tmp_path):
     )
 
 
+
+def test_dataset_input_plan_ignores_file_count(
+    ray_session, pages_dir, tmp_path, caplog
+):
+    """A pages Dataset is planned from the rows its checkpoint holds, not
+    from the checkpoint's file bytes: the same pages in 1 block and in 50
+    blocks (1 and 50 extraction tasks, so 1 and 50 checkpoint files per
+    pk) give the same pages-equivalent bytes, P and S, within a quarter
+    of the pages bytes the path input is planned from."""
+    import logging
+    import re
+
+    import ray.data as rd
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    table = pq.read_table(
+        os.path.join(pages_dir, "pages.parquet"), columns=["url", "html"]
+    )
+    inputs = {
+        "one": rd.from_arrow(table),
+        "fifty": rd.from_arrow(
+            [table.slice(i * 12 // 5, (i + 1) * 12 // 5 - i * 12 // 5)
+             for i in range(50)]
+        ),
+    }
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.pipelines.kg"):
+        run_kg_pipeline(pages_dir, str(tmp_path / "path"), PipelineConfig())
+        for name, ds in inputs.items():
+            run_kg_pipeline(ds, str(tmp_path / name), PipelineConfig())
+    assert [
+        _files_under(os.path.join(tmp_path, name, "_raw_triples", "pk=0"))
+        for name in inputs
+    ] == [1, 50]
+    plans = re.findall(
+        r"kg: partitions=(\d+) shards=(\d+) from ([a-z0-9 ]+) bytes=(\d+)",
+        caplog.text,
+    )
+    assert len(plans) == 3
+    path_plan, one, fifty = plans
+    assert one == fifty
+    assert one[2] == "ckpt rows x 102"
+    assert 0.75 < int(one[3]) / int(path_plan[3]) < 1.25
+
+
+def test_flagship_datasets_run_without_op_reservation(
+    ray_session, tmp_path, monkeypatch
+):
+    """Every Dataset the flagship and the window merge create runs without
+    Ray's per-operator resource reservation; the caller's DataContext
+    value is back after the call returns, and a Dataset the caller built
+    before the call keeps its own context."""
+    import pyarrow.parquet as _pq
+    import ray.data as rd
+
+    from marc2rdf_ray.pipelines.incremental import merge_window_into_graph
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+    from marc2rdf_ray.sources.pages import synthesize_pages
+
+    ctx = rd.DataContext.get_current()
+    monkeypatch.setattr(ctx, "op_resource_reservation_enabled", True)
+    seen = []
+    read_parquet = rd.read_parquet
+
+    def spy(*args, **kwargs):
+        ds = read_parquet(*args, **kwargs)
+        seen.append(ds.context.op_resource_reservation_enabled)
+        return ds
+
+    monkeypatch.setattr(rd, "read_parquet", spy)
+    base, window = tmp_path / "base", tmp_path / "window"
+    for d, start, n in ((base, 0, 60), (window, 60, 6)):
+        d.mkdir()
+        _pq.write_table(
+            synthesize_pages(n, seed=42, start=start),
+            os.path.join(d, "pages.parquet"),
+        )
+    before = read_parquet(str(base))
+    out = str(tmp_path / "graph")
+
+    run_kg_pipeline(str(base), out, PipelineConfig())
+    assert seen and not any(seen)
+    assert ctx.op_resource_reservation_enabled is True
+    assert before.context.op_resource_reservation_enabled is True
+
+    seen.clear()
+    merge_window_into_graph(str(window), out, PipelineConfig())
+    assert seen and not any(seen)
+    assert ctx.op_resource_reservation_enabled is True
+
+
+def test_op_reservation_restored_after_an_exception(
+    ray_session, pages_dir, tmp_path, monkeypatch
+):
+    """A flagship run that raises inside the scope (here: in materialize,
+    after the nested checkpoint and sameAs calls have returned) still
+    restores the caller's value; nesting keeps the outer scope's value."""
+    import ray.data as rd
+
+    from marc2rdf_ray.pipelines import kg
+
+    ctx = rd.DataContext.get_current()
+    monkeypatch.setattr(ctx, "op_resource_reservation_enabled", True)
+    inside = []
+
+    def fail(*args, **kwargs):
+        inside.append(ctx.op_resource_reservation_enabled)
+        raise RuntimeError("materialize failed")
+
+    monkeypatch.setattr(kg, "materialize_graph", fail)
+    with pytest.raises(RuntimeError, match="materialize failed"):
+        kg.run_kg_pipeline(pages_dir, str(tmp_path / "g"), PipelineConfig())
+    assert inside == [False]
+    assert ctx.op_resource_reservation_enabled is True
+
+    @kg.without_op_reservation
+    def outer():
+        inner()
+        return ctx.op_resource_reservation_enabled
+
+    @kg.without_op_reservation
+    def inner():
+        assert ctx.op_resource_reservation_enabled is False
+
+    assert outer() is False
+    assert ctx.op_resource_reservation_enabled is True
+
 def test_token_index_matcher_edge_cases():
     """Handcrafted equivalence cases: interior punctuation, overlapping
     aliases, longest-first wins, trailing-boundary rejection."""
