@@ -220,12 +220,18 @@ def ktruss_microbench(n_edges: int = 1_000_000) -> float:
     :func:`ring_graph_edges` -- each round is a full triangle-listing
     support pass + an edge filter, so this times the edge-peel family
     one notch above plain triangle counting."""
+    from marc2rdf_ray.ops import plan
     from marc2rdf_ray.ops.graph import ktruss
 
     edges = ring_graph_edges(n_edges)
-    t0 = time.time()
-    n = ktruss(edges, k=3, rounds=2, local_budget=0).count()
-    wall = time.time() - t0
+    local = plan.BUDGETS["one_task_python"]
+    plan.BUDGETS["one_task_python"] = 0
+    try:
+        t0 = time.time()
+        n = ktruss(edges, k=3, rounds=2).count()
+        wall = time.time() - t0
+    finally:
+        plan.BUDGETS["one_task_python"] = local
     assert n > 0
     return wall
 

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import bucket_codes
+from . import plan
 
 
 def _num_buckets_default() -> int:
@@ -235,7 +236,6 @@ def bgp_chain_match(
     pred_col: str = "pred",
     obj_col: str = "obj",
     num_partitions: int | None = None,
-    broadcast_limit_bytes: int = 256 << 20,
 ):
     """Match a chain BGP ``?x0 <p1> ?x1 . ?x1 <p2> ?x2 ...`` (SPARQL
     property-path shape) and return DISTINCT bindings, one column per
@@ -243,8 +243,8 @@ def bgp_chain_match(
 
     Scale shape: the scan lowers each hop to a slim (subj, obj) stream
     in ONE pass (rows matching no hop predicate never leave the scan);
-    hops then connect on ``x_i`` -- a hop side under
-    ``broadcast_limit_bytes`` broadcasts via ray.put and joins IN-TASK
+    hops then connect on ``x_i`` -- a hop side the plan broadcasts
+    (ops/plan.py) goes out via ray.put and joins IN-TASK
     (selective predicates are dictionary-sized next to the graph; no
     exchange), anything larger falls back to the distributed hash join.
     k-1 connects for a k-hop chain, each carrying only binding columns.
@@ -274,9 +274,7 @@ def bgp_chain_match(
         )
 
     hops = triples_ds.map_batches(slim, batch_format="pyarrow").materialize()
-    np_ = num_partitions or max(
-        2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    )
+    np_ = num_partitions or plan.join_partitions()
 
     def hop(i: int):
         a, b = var_names[i], var_names[i + 1]
@@ -289,11 +287,9 @@ def bgp_chain_match(
 
     acc = hop(0)
     for i in range(1, len(preds)):
-        side = hop(i).materialize()  # cheap: filters materialized hop blocks
-        if (side.size_bytes() or 0) <= broadcast_limit_bytes:
-            stab = pa.concat_tables(
-                ray.get(side.to_arrow_refs()), promote_options="default"
-            )
+        # cheap to materialize: filters materialized hop blocks
+        stab, side = plan.small_side("bgp_chain_match", hop(i))
+        if stab is not None:
             sref = ray.put(stab)
 
             def attach(b: pa.Table, _ref=sref, _key=var_names[i]) -> pa.Table:
@@ -866,7 +862,6 @@ def bgp_minus(
     pred_col: str = "pred",
     obj_col: str = "obj",
     num_buckets: int | None = None,
-    broadcast_limit_bytes: int = 256 << 20,
 ):
     """SPARQL MINUS / FILTER NOT EXISTS over a star BGP: bindings of
     ``patterns`` (via :func:`bgp_star_match`) for subjects that have NO
@@ -894,9 +889,7 @@ def bgp_minus(
         return t.group_by(["subj"], use_threads=False).aggregate([])
 
     keys = triples_ds.map_batches(excluded, batch_format="pyarrow")
-    return anti_join_filter(
-        bindings, keys, "subj", broadcast_budget=broadcast_limit_bytes
-    )
+    return anti_join_filter(bindings, keys, "subj")
 
 
 # -- general BGP planner ----------------------------------------------------
@@ -915,7 +908,6 @@ def bgp_match(
     pred_col: str = "pred",
     obj_col: str = "obj",
     num_partitions: int | None = None,
-    broadcast_limit_bytes: int = 256 << 20,
 ):
     """General BGP planner (round-5 task #5): accept an ARBITRARY list of
     triple patterns ``(s, p, o)`` -- variables are ``"?name"`` strings,
@@ -938,8 +930,8 @@ def bgp_match(
       the smallest not-yet-joined pattern that shares a variable with
       the bound set (connected BGPs only -- a disconnected pattern group
       is a cross product and raises);
-    - each join is broadcast-or-distributed under
-      ``broadcast_limit_bytes`` on the shared variable column(s);
+    - each join is broadcast-or-distributed (an ops/plan.py decision)
+      on the shared variable column(s);
     - one final global distinct gives SPARQL set semantics (duplicate
       triples multiply through joins exactly as in SPARQL bags; the
       distinct collapses them, as in the star/chain executors).
@@ -1081,19 +1073,14 @@ def bgp_match(
         used.add(nxt)
         bound.update(pat_vars[nxt][0] + pat_vars[nxt][1])
 
-    np_ = num_partitions or max(
-        2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    )
+    np_ = num_partitions or plan.join_partitions()
     acc = pat_table(order[0])
     acc_vars = set(pat_vars[order[0]][0] + pat_vars[order[0]][1])
     for i in order[1:]:
         side_vars = set(pat_vars[i][0] + pat_vars[i][1])
         on = sorted(acc_vars & side_vars)
-        side = pat_table(i).materialize()
-        if (side.size_bytes() or 0) <= broadcast_limit_bytes:
-            stab = pa.concat_tables(
-                ray.get(side.to_arrow_refs()), promote_options="default"
-            )
+        stab, side = plan.small_side("bgp_match", pat_table(i))
+        if stab is not None:
             sref = ray.put(stab)
 
             def attach(b: pa.Table, _ref=sref, _on=tuple(on)) -> pa.Table:

@@ -18,6 +18,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -295,7 +297,6 @@ def tfidf_top_terms(
     k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_budget: int = 256 << 20,
 ):
     """Per-document top-``k`` whitespace terms by tf-idf -> Dataset of
     ``(id, term, tf, score_q)`` with ``score_q = floor(tf * ln(N/df) *
@@ -304,8 +305,8 @@ def tfidf_top_terms(
 
     Scale shape: document frequency is a per-batch distinct-term partial
     (the combiner -- shuffle volume O(distinct terms per batch)) merged by
-    ONE groupby-sum into a vocab-sized table.  When that table fits
-    ``broadcast_budget`` it is ``ray.put`` ONCE and every scoring task
+    ONE groupby-sum into a vocab-sized table.  When the plan broadcasts
+    that table it is ``ray.put`` ONCE and every scoring task
     reads it zero-copy (an actor pool builds the term->idf dict once per
     actor, not per batch); scoring then happens inside the doc's own
     batch -- no second shuffle.  Vocabularies over budget fall back to the
@@ -365,13 +366,9 @@ def tfidf_top_terms(
             }
         )
 
-    if df_ds.size_bytes() <= broadcast_budget:
-        # promote: groupby emits zero-column blocks for empty partitions
-        df_ref = ray.put(
-            pa.concat_tables(
-                ray.get(df_ds.to_arrow_refs()), promote_options="default"
-            )
-        )
+    df_tab, df_ds = plan.small_side("tfidf_top_terms", df_ds)
+    if df_tab is not None:
+        df_ref = ray.put(df_tab)
 
         class Score:
             def __init__(self):
@@ -574,7 +571,6 @@ def remove_boilerplate_lines(
     min_docs: int = 10,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_budget: int = 256 << 20,
 ):
     """Line-level boilerplate removal (the C4/CCNet web-pipeline shape):
     drop every LINE that occurs in at least ``min_docs`` DISTINCT
@@ -588,7 +584,7 @@ def remove_boilerplate_lines(
     O(lines)); ONE groupby-sum yields per-line doc counts; lines at or
     over the threshold are the (small -- boilerplate is by definition
     repetitive, so the hot set is tiny relative to the corpus) broadcast
-    side under ``broadcast_budget``.  Phase 2 is a stateless vectorized
+    side the plan broadcasts.  Phase 2 is a stateless vectorized
     map: split -> flatten -> ``is_in`` mask -> rebuild the list offsets
     with a bincount -> one ``binary_join_element_wise``-free
     ``pc.binary_join`` per batch.  Over-budget hot sets fall back to a
@@ -631,20 +627,17 @@ def remove_boilerplate_lines(
         )
         .materialize()
     )
-    if hot_ds.size_bytes() > broadcast_budget:
+    tab, hot_ds = plan.small_side("remove_boilerplate_lines", hot_ds)
+    if tab is None:
         raise ValueError(
-            "boilerplate line set exceeds the broadcast budget "
-            f"({hot_ds.size_bytes()} > {broadcast_budget}); raise min_docs "
-            "or the budget -- a hot set this large means the threshold is "
+            "boilerplate line set exceeds plan.BUDGETS['broadcast']; "
+            "raise min_docs -- a hot set this large means the threshold is "
             "matching the corpus body, not boilerplate.  (The distributed "
             "alternative is an anti-join of exploded (doc, idx, line) rows "
             "on line, the incremental_dedup fallback shape.)"
         )
-    tabs = [t for t in ray.get(hot_ds.to_arrow_refs()) if t.num_rows]
     hot = (
-        pa.concat_tables(tabs, promote_options="default")["line"]
-        .combine_chunks()
-        if tabs
+        tab["line"].combine_chunks() if tab.num_rows
         else pa.array([], pa.string())
     )
     hot_ref = ray.put(hot)
@@ -942,7 +935,6 @@ def decontaminate_hashed(
     id_col: str = "doc_id",
     text_col: str = "text",
     span_col: str = "s",
-    broadcast_budget: int = 256 << 20,
 ):
     """Window-hash decontamination -- the SCALE path promised in
     :func:`decontaminate`'s docstring for million-span blocklists: drop
@@ -958,7 +950,7 @@ def decontaminate_hashed(
     16-hex-char hash set; doc windows dedup within each batch.
     Membership detection and the final doc-id drop both go through the
     broadcast-or-join shape (``anti_join_filter``): one vectorized
-    ``is_in`` per batch while the hash set fits ``broadcast_budget``, a
+    ``is_in`` per batch while the plan broadcasts the hash set, a
     distributed hash join above it.  Nothing ever materializes the
     corpus."""
     import logging
@@ -1003,14 +995,11 @@ def decontaminate_hashed(
 
     pairs = ds.map_batches(doc_hashes, batch_format="pyarrow")
 
-    if blocked.size_bytes() <= broadcast_budget:
-        tabs = [t for t in ray.get(blocked.to_arrow_refs()) if t.num_rows]
-        if not tabs:
+    tab, blocked = plan.small_side("decontaminate_hashed", blocked)
+    if tab is not None:
+        if not tab.num_rows:
             return ds
-        ref = ray.put(
-            pa.concat_tables(tabs, promote_options="default")["h"]
-            .combine_chunks()
-        )
+        ref = ray.put(tab["h"].combine_chunks())
 
         def hit_ids(b: pa.Table) -> pa.Table:
             hit = pc.is_in(b["h"], value_set=ray.get(ref))
@@ -1027,9 +1016,7 @@ def decontaminate_hashed(
             ),
             batch_format="pyarrow",
         )
-        nparts = max(
-            2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-        )
+        nparts = plan.join_partitions()
         from .dedup import normalize_join_blocks
 
         hits = pairs.join(
@@ -1041,7 +1028,7 @@ def decontaminate_hashed(
 
     hits = distinct_first(hits, id_col)
     return anti_join_filter(
-        ds, hits, id_col, broadcast_budget=broadcast_budget
+        ds, hits, id_col
     )
 
 
@@ -1157,7 +1144,6 @@ def dedup_duplicate_spans(
     min_count: int = 2,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_budget: int = 256 << 20,
 ):
     """Cross-corpus exact duplicated-SPAN removal (the operator behind
     "Deduplicating Training Data Makes Language Models Better", Lee et
@@ -1175,10 +1161,10 @@ def dedup_duplicate_spans(
     - pass 1: per-batch (window-hash, partial count) Arrow combiner ->
       ONE small groupby-sum -> filter count >= min_count.  Only 16-hex
       hashes ever shuffle, never text.
-    - pass 2, hot set <= ``broadcast_budget``: ray.put once, then a
+    - pass 2, hot set broadcast by the plan: ray.put once, then a
       stateless per-batch rebuild -- doc texts never leave their read
       tasks (zero text exchange).
-    - pass 2, hot set above budget: (doc, pos, hash) window rows
+    - pass 2, hot set joined instead: (doc, pos, hash) window rows
       semi-join the hot hashes (ops/dedup.semi_join_filter), collapse to
       per-doc covered-position lists, and ONE left join ships each doc
       text exactly once -- the distributed path when the duplicated-window
@@ -1223,13 +1209,11 @@ def dedup_duplicate_spans(
         keep = np.cumsum(cover[: len(toks)]) == 0
         return " ".join(t for t, k in zip(toks, keep) if k)
 
-    if hot.size_bytes() <= broadcast_budget:
+    tab, hot = plan.small_side("dedup_duplicate_spans", hot)
+    if tab is not None:
         import ray
 
-        tabs = [t for t in ray.get(hot.to_arrow_refs()) if t.num_rows]
-        hotset = (
-            set(pa.concat_tables(tabs)["h"].to_pylist()) if tabs else set()
-        )
+        hotset = set(tab["h"].to_pylist()) if tab.num_rows else set()
         ref = ray.put(hotset)
 
         def rebuild_bcast(b: pa.Table) -> pa.Table:
@@ -1264,7 +1248,6 @@ def dedup_duplicate_spans(
 
     covered = semi_join_filter(
         ds.map_batches(window_rows, batch_format="pyarrow"), hot, "h",
-        broadcast_budget=broadcast_budget,
     )
 
     def pos_lists(group: pa.Table) -> pa.Table:
@@ -1281,7 +1264,7 @@ def dedup_duplicate_spans(
 
     import ray
 
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
     per_doc = (
         covered.groupby(id_col)
         .map_groups(pos_lists, batch_format="pyarrow")

@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 logger = logging.getLogger("marc2rdf_ray.dedup")
@@ -555,33 +557,24 @@ def normalize_join_blocks(ds, nparts: int):
     return ds.repartition(nparts)
 
 
-def anti_join_filter(ds, keys_ds, col: str, *,
-                     broadcast_budget: int = 256 << 20):
+def anti_join_filter(ds, keys_ds, col: str):
     """Drop every row of ``ds`` whose ``col`` value appears in ``keys_ds``
     (which must expose a column named ``col``) -- the shared
     broadcast-or-anti-join membership filter (ADVICE r4: this shape was
     triplicated across incremental_dedup, the corpus pipeline's drop-list
     stage and the minhash keep query).
 
-    Small key sets (<= ``broadcast_budget``) broadcast once via
+    Key sets the plan broadcasts (ops/plan.py) go out once via
     ``ray.put`` and filter with one vectorized ``is_in`` per batch; larger
     sets fall back to a distributed left-outer join on ``col`` with a
     null-marker filter (the anti-join shape)."""
     import ray
-    import ray.data as rd  # noqa: F401 (documents the Dataset contract)
 
-    keys = keys_ds.materialize()
-    if keys.size_bytes() <= broadcast_budget:
-        tabs = [t for t in ray.get(keys.to_arrow_refs()) if t.num_rows]
-        vals = (
-            pa.concat_tables(tabs, promote_options="default")[col]
-            .combine_chunks()
-            if tabs
-            else None
-        )
-        if vals is None:
+    tab, keys = plan.small_side("anti_join_filter", keys_ds)
+    if tab is not None:
+        if not tab.num_rows:
             return ds
-        ref = ray.put(vals)
+        ref = ray.put(tab[col].combine_chunks())
 
         def drop_seen(b: pa.Table) -> pa.Table:
             hit = pc.is_in(b[col], value_set=ray.get(ref))
@@ -598,7 +591,7 @@ def anti_join_filter(ds, keys_ds, col: str, *,
         ),
         batch_format="pyarrow",
     )
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
     return ds.join(
         normalize_join_blocks(marked, nparts),
         join_type="left_outer", num_partitions=nparts, on=(col,)
@@ -609,25 +602,20 @@ def anti_join_filter(ds, keys_ds, col: str, *,
 
 
 def semi_join_filter(ds, keys_ds, col: str, *,
-                     keys_col: str | None = None,
-                     broadcast_budget: int = 256 << 20):
+                     keys_col: str | None = None):
     """KEEP every row of ``ds`` whose ``col`` value appears in ``keys_ds``
     (in its ``keys_col`` column, default ``col``) -- the dual of
     :func:`anti_join_filter`, same broadcast-or-join shape: vectorized
-    ``is_in`` per batch while the key set fits ``broadcast_budget``, a
+    ``is_in`` per batch while the plan broadcasts the key set, a
     distributed inner join above it."""
     import ray
 
     kc = keys_col or col
-    keys = keys_ds.materialize()
-    if keys.size_bytes() <= broadcast_budget:
-        tabs = [t for t in ray.get(keys.to_arrow_refs()) if t.num_rows]
-        if not tabs:
+    tab, keys = plan.small_side("semi_join_filter", keys_ds)
+    if tab is not None:
+        if not tab.num_rows:
             return ds.limit(0)
-        ref = ray.put(
-            pa.concat_tables(tabs, promote_options="default")[kc]
-            .combine_chunks()
-        )
+        ref = ray.put(tab[kc].combine_chunks())
 
         def keep_seen(b: pa.Table) -> pa.Table:
             hit = pc.is_in(b[col], value_set=ray.get(ref))
@@ -638,7 +626,7 @@ def semi_join_filter(ds, keys_ds, col: str, *,
     marked = distinct_first(keys, kc).map_batches(
         lambda b: pa.table({col: b[kc]}), batch_format="pyarrow"
     )
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
     return ds.join(
         normalize_join_blocks(marked, nparts),
         join_type="inner", num_partitions=nparts, on=(col,)
@@ -652,7 +640,6 @@ def incremental_dedup(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_budget: int = 256 << 20,
     filesystem=None,
 ):
     """Cross-WINDOW exact dedup with durable state -- the continuous-crawl
@@ -671,7 +658,7 @@ def incremental_dedup(
     if the previous attempt finished).
 
     Membership test: the state's hash column broadcasts via ``ray.put``
-    when under ``broadcast_budget`` (one vectorized ``is_in`` per batch);
+    when the plan allows (one vectorized ``is_in`` per batch);
     bigger states fall back to a distributed left-outer join on the hash
     with a null-marker filter (the anti-join shape).  State volume is one
     32-byte hash per distinct document ever seen -- ~3 TB per 100 TB of
@@ -709,7 +696,6 @@ def incremental_dedup(
         )
         window = anti_join_filter(
             window, state, "content_hash",
-            broadcast_budget=broadcast_budget,
         )
 
     kept = window.materialize()
@@ -915,7 +901,6 @@ def setsim_join_exact(
     num_buckets: int | None = None,
     token_cap: int = 4096,
     strict: bool = False,
-    broadcast_budget: int = 256 << 20,
 ):
     """EXACT token-set similarity self-join via prefix filtering
     (SSJoin/PPJoin family, Chaudhuri et al. ICDE'06): every pair with
@@ -932,7 +917,7 @@ def setsim_join_exact(
     document frequency -- misses nothing.
 
     Scale shape: tokenize once (per-doc distinct sets); ONE groupby for
-    global df; df broadcast under ``broadcast_budget`` (distributed join
+    global df; df broadcast when the plan allows (distributed join
     fallback above it); prefix postings bucket BY TOKEN, each bucket
     emits its doc pairs with a per-task np.unique combiner
     (``token_cap`` bounds a hot token's doc list -- loud truncation or
@@ -985,10 +970,9 @@ def setsim_join_exact(
     )
 
     # ---- postings with df attached (broadcast-or-join) ----------------
-    if (df_ds.size_bytes() or 0) <= broadcast_budget:
-        df_tab = pa.concat_tables(
-            ray.get(df_ds.to_arrow_refs()), promote_options="default"
-        )
+    path, df_ds = plan.choose("setsim_join_exact", df_ds)
+    if path == "broadcast":
+        df_tab = plan.gather(df_ds)
         vocab = np.asarray(df_tab["tok"].to_pylist())
         dfs = df_tab["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(vocab, kind="stable")
@@ -1124,12 +1108,7 @@ def setsim_join_exact(
     cand = distinct_first(cand, "pk")
 
     # ---- exact verify ---------------------------------------------------
-    sets_tab = None
-    toks_mat = toks
-    if (toks.size_bytes() or 0) <= broadcast_budget:
-        sets_tab = pa.concat_tables(
-            ray.get(toks.to_arrow_refs()), promote_options="default"
-        )
+    sets_tab, toks_mat = plan.small_side("setsim_join_exact", toks)
     if sets_tab is not None:
         sref = ray.put(sets_tab)
 
@@ -1361,7 +1340,6 @@ def incremental_minhash_dedup(
     bands: int = 16,
     seed: int = 42,
     ngram: int = 3,
-    broadcast_budget: int = 256 << 20,
     filesystem=None,
 ):
     """Cross-WINDOW near-dup filtering with durable LSH band state --
@@ -1448,13 +1426,12 @@ def incremental_minhash_dedup(
     )
     # attach each row's bucket min: broadcast lookup under budget, a
     # distributed hash join above it
-    matb = bucketmin.materialize()
-    if matb.size_bytes() <= broadcast_budget:
+    tab, matb = plan.small_side("incremental_minhash_dedup", bucketmin)
+    if tab is not None:
         import ray as _ray
 
-        tabs = [t for t in _ray.get(matb.to_arrow_refs()) if t.num_rows]
-        tab = (pa.concat_tables(tabs, promote_options="default")
-               if tabs else pa.table({"bucket": [], "mn": []}))
+        if not tab.num_rows:
+            tab = pa.table({"bucket": [], "mn": []})
         bk = np.asarray(tab["bucket"].to_pylist(), object)
         mn = np.asarray(tab["mn"].to_pylist(), object)
         order = np.argsort(bk)
@@ -1473,8 +1450,7 @@ def incremental_minhash_dedup(
 
         withmin = exploded.map_batches(attach_min, batch_format="pyarrow")
     else:
-        nparts = max(2, min(64, int(
-            __import__("ray").cluster_resources().get("CPU", 8)) // 2))
+        nparts = plan.join_partitions()
         withmin = normalize_join_blocks(exploded, nparts).join(
             normalize_join_blocks(matb, nparts),
             join_type="inner", num_partitions=nparts, on=("bucket",),
@@ -1497,14 +1473,12 @@ def incremental_minhash_dedup(
         )
         hit_ids = semi_join_filter(
             exploded, state, "bucket",
-            broadcast_budget=broadcast_budget,
         ).map_batches(
             lambda b: pa.table({id_col: b[id_col]}),
             batch_format="pyarrow",
         )
         survivors = anti_join_filter(
             survivors, distinct_first(hit_ids, id_col), id_col,
-            broadcast_budget=broadcast_budget,
         )
     survivors = distinct_first(survivors, id_col).materialize()
 
@@ -1512,7 +1486,6 @@ def incremental_minhash_dedup(
         fsio.rmtree(fs, win_dir)
         kept_rows = semi_join_filter(
             exploded, survivors, id_col,
-            broadcast_budget=broadcast_budget,
         )
         kept_rows.write_parquet(win_dir, filesystem=fs)
         # all-survivors-dropped window: write_parquet creates no dir

@@ -45,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 
 def _bucket_ints(arr, num_buckets: int) -> pa.Array:
     """node_id % num_buckets as int32 (cheap deterministic shuffle key for
@@ -389,7 +391,6 @@ def triangle_count(
     src_col: str = "src",
     dst_col: str = "dst",
     num_buckets: int | None = None,
-    degree_budget: int = 256 << 20,
     max_out: int = 4096,
     strict: bool = False,
     with_truncation: bool = False,
@@ -420,7 +421,7 @@ def triangle_count(
        degree distribution -- hub nodes become heads, never tails (the
        skew defense; id-orientation would square a low-id hub).  Degrees
        come from one partial-combine groupby; the table broadcasts via
-       ``ray.put`` when under ``degree_budget``, else the op falls back
+       ``ray.put`` when the plan broadcasts it, else the op falls back
        to id-rank (same count, documented skew caveat) -- and any tail
        capped at ``max_out`` is logged, never silent.
     3. **match** -- wedge candidates (with multiplicity, pre-combined per
@@ -499,11 +500,9 @@ def triangle_count(
         .materialize()
     )
 
-    if deg_ds.size_bytes() <= degree_budget:
-        # promote: groupby emits zero-column blocks for empty partitions
-        deg_tbl = pa.concat_tables(
-            ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-        )
+    path, deg_ds = plan.choose("triangle_count", deg_ds)
+    if path == "broadcast":
+        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")  # searchsorted needs order
@@ -787,7 +786,6 @@ def kcore(
     k: int = 3,
     rounds: int | None = None,
     max_rounds: int = 50,
-    broadcast_budget: int = 256 << 20,
 ):
     """k-core peeling over the UNDIRECTED simple graph of ``edges``
     (src, dst): repeatedly drop nodes with degree < ``k`` (and their
@@ -881,12 +879,10 @@ def kcore(
         cur = semi_join_filter(
             semi_join_filter(
                 cur, surv, "u", keys_col="node",
-                broadcast_budget=broadcast_budget,
             ).map_batches(swap, batch_format="pyarrow"),
             surv,
             "u",
             keys_col="node",
-            broadcast_budget=broadcast_budget,
         ).map_batches(swap, batch_format="pyarrow").materialize()
     return surv
 
@@ -1218,7 +1214,6 @@ def hits(
     *,
     rounds: int = 2,
     num_buckets: int | None = None,
-    local_budget: int = 128 << 20,
 ):
     """HITS hubs-and-authorities (Kleinberg 1999, public) over a directed
     edge table (src:int64, dst:int64; parallel edges count multiply) --
@@ -1245,15 +1240,16 @@ def hits(
     filled in against ``nodes_ds`` at the end with one exchange.
 
     Budget-gated fast path (the pagerank_local / connected_components_
-    local precedent): an edge list <= ``local_budget`` bytes solves in
+    local precedent): an edge list under the plan's ``one_task`` budget
+    (ops/plan.py) solves in
     ONE task with np.add.at scatter sums -- order-free int64, so the
     output is BIT-IDENTICAL to the distributed rounds (parity-tested);
     the distributed machinery reuses the same materialized edges when
     over budget.  At toy scale the 4-exchanges-per-round fixed cost
     dominates wall time by 10x+; at web scale the gate never fires.
     """
-    mat_edges = edges_ds.materialize()
-    if local_budget and mat_edges.size_bytes() <= local_budget:
+    path, mat_edges = plan.choose("hits", edges_ds, "one_task")
+    if path == "one_task":
         return _hits_local(mat_edges, nodes_ds, rounds=rounds)
     edges_ds = mat_edges
     if num_buckets is None:
@@ -1412,7 +1408,6 @@ def common_neighbors_topk(
     strict: bool = True,
     adamic_adar: bool = False,
     jaccard: bool = False,
-    degree_budget: int = 256 << 20,
 ):
     """Common-neighbor link prediction over the undirected simple form of
     a directed edge table: for every non-adjacent node pair (u < v) that
@@ -1444,7 +1439,7 @@ def common_neighbors_topk(
     (deg(u) + deg(v) - cn))`` (all terms positive, so truncating and
     flooring division agree and the SQL oracle replays it) -- degrees of
     the undirected simple graph attach via one partial-combine groupby
-    broadcast under ``degree_budget`` (join fallback above it), and the
+    broadcast when the plan allows (join fallback above it), and the
     top-k re-ranks by (jac_micro DESC, u, v).  Output columns
     (u, v, cnt, jac_micro).
 
@@ -1644,7 +1639,8 @@ def common_neighbors_topk(
                 }
             )
 
-        if deg_ds.size_bytes() > degree_budget:  # pragma: no cover - scale
+        path, deg_ds = plan.choose("common_neighbors_topk", deg_ds)
+        if path == "join":
             from .dedup import normalize_join_blocks
 
             nparts = max(2, num_buckets // 4)
@@ -1692,9 +1688,7 @@ def common_neighbors_topk(
                 batch_format="pyarrow",
             )
         else:
-            deg_tbl = pa.concat_tables(
-                ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-            )
+            deg_tbl = plan.gather(deg_ds)
             nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
             degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -1751,7 +1745,6 @@ def pagerank_local(
     edges_ds,
     nodes_ds,
     *,
-    budget: int = 128 << 20,
     iterations: int = 5,
     scale: int = 10**12,
     damping_num: int = 85,
@@ -1760,7 +1753,8 @@ def pagerank_local(
     n_seeds: int | None = None,
 ):
     """CONVERGED-in-one-task PageRank for graphs whose edge list fits a
-    single worker (<= ``budget`` bytes) -- the connected_components_local
+    single worker (the plan's ``one_task`` budget, ops/plan.py) -- the
+    connected_components_local
     precedent (stages/canonicalize.py:502): paying 2 bucketed exchanges x
     ``iterations`` of fixed all-to-all cost to push ranks through a few
     million slim int64 rows is pure overhead.  ONE task runs the exact
@@ -1776,8 +1770,8 @@ def pagerank_local(
     ``base``/``share`` denominators use the NODE-SET count / seed count,
     exactly as distributed.
     """
-    mat_e = edges_ds.materialize()
-    if mat_e.size_bytes() > budget:
+    path, mat_e = plan.choose("pagerank_local", edges_ds, "one_task")
+    if path == "rounds":
         return None
     n_nodes = nodes_ds.count()
     if not n_nodes:
@@ -1799,24 +1793,22 @@ def pagerank_local(
         share_den = n_nodes
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "a": pc.cast(b["src"], pa.int64()),
                 "b": pc.cast(b["dst"], pa.int64()),
                 "kind": pa.array(np.zeros(len(b), np.int8)),
             }
         )
-        return t.append_column("_g", pa.array(np.zeros(len(b), np.int8)))
 
     def node_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "a": pc.cast(b["node"], pa.int64()),
                 "b": pa.array(np.full(len(b), -1, np.int64)),
                 "kind": pa.array(np.ones(len(b), np.int8)),
             }
         )
-        return t.append_column("_g", pa.array(np.zeros(len(b), np.int8)))
 
     def solve(g: pa.Table) -> pa.Table:
         kind = g["kind"].to_numpy(zero_copy_only=False)
@@ -1861,11 +1853,10 @@ def pagerank_local(
             }
         )
 
-    return (
+    return plan.run_in_one_task(
         mat_e.map_batches(edge_rows, batch_format="pyarrow")
-        .union(nodes_ds.map_batches(node_rows, batch_format="pyarrow"))
-        .groupby("_g")
-        .map_groups(solve, batch_format="pyarrow")
+        .union(nodes_ds.map_batches(node_rows, batch_format="pyarrow")),
+        solve,
     )
 
 
@@ -1880,24 +1871,22 @@ def _hits_local(mat_edges, nodes_ds, *, rounds: int) -> "object":
     exchange -- here a plain union + np scatter."""
 
     def edge_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "a": pc.cast(b["src"], pa.int64()),
                 "b": pc.cast(b["dst"], pa.int64()),
                 "kind": pa.array(np.zeros(len(b), np.int8)),
             }
         )
-        return t.append_column("_g", pa.array(np.zeros(len(b), np.int8)))
 
     def node_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "a": pc.cast(b["node"], pa.int64()),
                 "b": pa.array(np.full(len(b), -1, np.int64)),
                 "kind": pa.array(np.ones(len(b), np.int8)),
             }
         )
-        return t.append_column("_g", pa.array(np.zeros(len(b), np.int8)))
 
     def solve(g: pa.Table) -> pa.Table:
         kind = g["kind"].to_numpy(zero_copy_only=False)
@@ -1933,11 +1922,10 @@ def _hits_local(mat_edges, nodes_ds, *, rounds: int) -> "object":
             }
         )
 
-    return (
+    return plan.run_in_one_task(
         mat_edges.map_batches(edge_rows, batch_format="pyarrow")
-        .union(nodes_ds.map_batches(node_rows, batch_format="pyarrow"))
-        .groupby("_g")
-        .map_groups(solve, batch_format="pyarrow")
+        .union(nodes_ds.map_batches(node_rows, batch_format="pyarrow")),
+        solve,
     )
 
 
@@ -2040,10 +2028,8 @@ def clustering_coefficient(
     src_col: str = "src",
     dst_col: str = "dst",
     num_buckets: int | None = None,
-    degree_budget: int = 256 << 20,
     max_out: int = 4096,
     strict: bool = False,
-    local_budget: int = 64 << 20,
 ):
     """Local clustering coefficient per node of the UNDIRECTED simple
     graph: ``coef_micro = (2 * triangles(v) * 1e6) // (deg(v) *
@@ -2107,27 +2093,17 @@ def clustering_coefficient(
         .materialize()
     )
 
-    # budget-gated local fast path (pagerank_local precedent): in-budget
-    # edge lists solve in ONE task, bit-identical by construction; node
-    # count must also keep the dense n*n wedge key inside int64
-    if dedup.size_bytes() <= local_budget:
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "_g", pa.array(np.zeros(len(b), np.int8), pa.int8())
-            )
-
-        def solve(g: pa.Table) -> pa.Table:
-            return _coef_local(
-                g["u"].to_numpy(zero_copy_only=False),
-                g["v"].to_numpy(zero_copy_only=False),
-                max_out, strict,
-            )
-
-        return (
-            dedup.map_batches(tag, batch_format="pyarrow")
-            .groupby("_g")
-            .map_groups(solve, batch_format="pyarrow")
-        )
+    # one-task fast path (pagerank_local precedent): bit-identical by
+    # construction; node count must also keep the dense n*n wedge key
+    # inside int64
+    path, dedup = plan.choose("clustering_coefficient", dedup,
+                              "one_task_wedges")
+    if path == "one_task":
+        return plan.run_in_one_task(dedup, lambda g: _coef_local(
+            g["u"].to_numpy(zero_copy_only=False),
+            g["v"].to_numpy(zero_copy_only=False),
+            max_out, strict,
+        ))
 
     def deg_partial(b: pa.Table) -> pa.Table:
         n = np.concatenate(
@@ -2149,10 +2125,9 @@ def clustering_coefficient(
         .materialize()
     )
 
-    if deg_ds.size_bytes() <= degree_budget:
-        deg_tbl = pa.concat_tables(
-            ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-        )
+    path, deg_ds = plan.choose("clustering_coefficient", deg_ds)
+    if path == "broadcast":
+        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -2490,7 +2465,6 @@ def avg_neighbor_degree(
     src_col: str = "src",
     dst_col: str = "dst",
     num_buckets: int | None = None,
-    degree_budget: int = 256 << 20,
 ):
     """Average neighbor degree per node of the UNDIRECTED simple graph
     -- the assortativity feature GNN pipelines compute as a one-hop
@@ -2499,9 +2473,9 @@ def avg_neighbor_degree(
     and flooring division agree and the SQL oracle replays it).
 
     Scale shape: distinct canon edges (the triangle_count dedup pass),
-    ONE partial-combine degree groupby, degrees broadcast under
-    ``degree_budget`` (else a distributed join fallback on the same
-    keys), then a per-batch scatter combiner emits (node, sum_nbr_deg)
+    ONE partial-combine degree groupby, degrees broadcast when the plan
+    allows (else a distributed join fallback on the same keys), then a
+    per-batch scatter combiner emits (node, sum_nbr_deg)
     partials -- each edge contributes its endpoint's degree to the other
     endpoint -- finished by one groupby-sum and a stateless divide.
     """
@@ -2569,7 +2543,8 @@ def avg_neighbor_degree(
         .materialize()
     )
 
-    if deg_ds.size_bytes() > degree_budget:  # pragma: no cover - scale path
+    path, deg_ds = plan.choose("avg_neighbor_degree", deg_ds)
+    if path == "join":
         logger.warning(
             "avg_neighbor_degree: degree table over budget; join fallback"
         )
@@ -2605,9 +2580,7 @@ def avg_neighbor_degree(
             withdeg2.map_batches(sums_joined2, batch_format="pyarrow")
         )
     else:
-        deg_tbl = pa.concat_tables(
-            ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-        )
+        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -2633,7 +2606,7 @@ def avg_neighbor_degree(
 
     merged = partials.groupby("node").aggregate(Sum("s", alias_name="s"))
 
-    if deg_ds.size_bytes() <= degree_budget:
+    if path == "broadcast":
         def finish(b: pa.Table) -> pa.Table:
             d = ray.get(deg_ref)
             node = b["node"].to_numpy(zero_copy_only=False)
@@ -2682,7 +2655,6 @@ def negative_samples(
     n_nodes: int,
     *,
     k: int = 2,
-    broadcast_budget: int = 256 << 20,
 ):
     """Deterministic negative sampling for link-prediction training:
     for every node i, propose ``k`` pseudo-random candidate targets
@@ -2736,7 +2708,7 @@ def negative_samples(
     cand = nodes_ds.map_batches(cands, batch_format="pyarrow")
     keys = edges_ds.map_batches(edge_keys, batch_format="pyarrow")
     kept = anti_join_filter(
-        cand, keys, "pk", broadcast_budget=broadcast_budget
+        cand, keys, "pk"
     )
     return kept.map_batches(
         lambda b: b.select(["src", "neg_dst"]), batch_format="pyarrow"
@@ -2749,7 +2721,6 @@ def assortativity(
     src_col: str = "src",
     dst_col: str = "dst",
     num_buckets: int | None = None,
-    degree_budget: int = 256 << 20,
 ):
     """Degree assortativity of the UNDIRECTED simple graph: the Pearson
     correlation of (deg(a), deg(b)) over the directed orientations of the
@@ -2770,8 +2741,8 @@ def assortativity(
     DuckDB oracle replays it operand-for-operand in HUGEINT then DOUBLE.
 
     Scale shape: distinct canon edges (the avg_neighbor_degree dedup
-    pass), ONE partial-combine degree groupby broadcast under
-    ``degree_budget`` (join fallback above it), then per-batch int64
+    pass), ONE partial-combine degree groupby broadcast when the plan
+    allows (join fallback above it), then per-batch int64
     partials (m, sx, sxy, sxx) -- O(1) rows per batch, O(1) driver state.
 
     Returns a 1-row table (m, sx, sxy, sxx, r_pearson float64).
@@ -2856,7 +2827,8 @@ def assortativity(
             }
         )
 
-    if deg_ds.size_bytes() > degree_budget:  # pragma: no cover - scale path
+    path, deg_ds = plan.choose("assortativity", deg_ds)
+    if path == "join":
         logger.warning(
             "assortativity: degree table over budget; join fallback"
         )
@@ -2892,9 +2864,7 @@ def assortativity(
 
         partials = j2.map_batches(partial_joined, batch_format="pyarrow")
     else:
-        deg_tbl = pa.concat_tables(
-            ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-        )
+        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -3012,12 +2982,10 @@ def sssp_weighted(
         seeds_ds.map_batches(seed_dist, batch_format="pyarrow"), "node"
     ).materialize()
 
-    budget = 256 << 20
     for _ in range(rounds):
-        if (dists.size_bytes() or 0) <= budget:
-            tab = pa.concat_tables(
-                ray.get(dists.to_arrow_refs()), promote_options="default"
-            )
+        path, dists = plan.choose("sssp_weighted", dists)
+        if path == "broadcast":
+            tab = plan.gather(dists)
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             dist_np = tab["dist"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3140,7 +3108,6 @@ def ktruss(
     num_buckets: int | None = None,
     max_out: int = 4096,
     strict: bool = False,
-    local_budget: int = 8 << 20,
 ):
     """k-truss peeling over the UNDIRECTED simple graph of ``edges_ds``:
     repeatedly drop every edge supported by fewer than ``k - 2``
@@ -3163,8 +3130,8 @@ def ktruss(
     edge list re-materializes per round (plan depth O(1), the kcore /
     connected-components round discipline).  Tails past ``max_out``
     truncate loudly; ``strict=True`` raises instead (the
-    triangle_count/ADVICE-r3 never-silent contract).  Budget-gated local
-    fast path solves in-budget edge lists in ONE task, identically.
+    triangle_count/ADVICE-r3 never-silent contract).  An edge list under
+    the plan's ``one_task_python`` budget solves in ONE task, identically.
     """
     import ray
     from ray.data.aggregate import Sum
@@ -3213,24 +3180,13 @@ def ktruss(
         .materialize()
     )
 
-    if cur.size_bytes() <= local_budget:
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "_g", pa.array(np.zeros(len(b), np.int8), pa.int8())
-            )
-
-        def solve(g: pa.Table) -> pa.Table:
-            return _ktruss_local(
-                g["u"].to_numpy(zero_copy_only=False),
-                g["v"].to_numpy(zero_copy_only=False),
-                k, rounds, max_rounds,
-            )
-
-        return (
-            cur.map_batches(tag, batch_format="pyarrow")
-            .groupby("_g")
-            .map_groups(solve, batch_format="pyarrow")
-        )
+    path, cur = plan.choose("ktruss", cur, "one_task_python")
+    if path == "one_task":
+        return plan.run_in_one_task(cur, lambda g: _ktruss_local(
+            g["u"].to_numpy(zero_copy_only=False),
+            g["v"].to_numpy(zero_copy_only=False),
+            k, rounds, max_rounds,
+        ))
 
     P = np.int64(1_000_003)
     need = k - 2
@@ -3264,10 +3220,9 @@ def ktruss(
             .aggregate(Sum("deg", alias_name="deg"))
             .materialize()
         )
-        if deg_ds.size_bytes() <= (256 << 20):
-            t = pa.concat_tables(
-                ray.get(deg_ds.to_arrow_refs()), promote_options="default"
-            )
+        path, deg_ds = plan.choose("ktruss", deg_ds)
+        if path == "broadcast":
+            t = plan.gather(deg_ds)
             nodes_np = t["node"].to_numpy(zero_copy_only=False)
             degs_np = t["deg"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3482,7 +3437,6 @@ def random_walks(
     steps: int = 3,
     src_col: str = "src",
     dst_col: str = "dst",
-    broadcast_budget: int = 256 << 20,
 ):
     """Deterministic fixed-length random-walk generation (the DeepWalk /
     node2vec corpus-prep step, Perozzi 2014, public): one walk per
@@ -3570,10 +3524,9 @@ def random_walks(
         batch_format="pyarrow",
     )
 
-    if adj.size_bytes() <= broadcast_budget:
-        tab = pa.concat_tables(
-            ray.get(adj.to_arrow_refs()), promote_options="default"
-        )
+    path, adj = plan.choose("random_walks", adj)
+    if path == "broadcast":
+        tab = plan.gather(adj)
         n_np = tab["node"].to_numpy(zero_copy_only=False)
         i_np = tab["idx"].to_numpy(zero_copy_only=False)
         if len(n_np) and (n_np.min() < 0 or n_np.max() >= 1 << 43
@@ -3581,7 +3534,8 @@ def random_walks(
             raise ValueError(
                 "random_walks: broadcast index packs (node, idx) into "
                 "int64 -- needs 0 <= node < 2^43 and outdeg < 2^20; "
-                "remap ids or lower the budget to force the join path"
+                "remap ids or lower plan.BUDGETS['broadcast'] to force "
+                "the join path"
             )
         order = np.lexsort((i_np, n_np))
         ref = ray.put(
@@ -3635,7 +3589,7 @@ def random_walks(
     # scale path: one distributed join per step on the (node, idx) key
     from .dedup import normalize_join_blocks
 
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
     deg_side = adj.map_batches(
         lambda b: b.filter(pc.equal(b["idx"], 0)).select(["node", "deg"]),
         batch_format="pyarrow",
@@ -3715,7 +3669,6 @@ def temporal_reachability(
     *,
     rounds: int = 3,
     stamp_of=None,
-    budget: int = 256 << 20,
 ):
     """Bounded-round earliest-arrival reachability over a TEMPORAL graph:
     each edge carries a departure stamp ``t`` and a duration ``dur``; a
@@ -3734,7 +3687,7 @@ def temporal_reachability(
 
     Scale shape identical to sssp_weighted: the stamped edge list
     materializes once (slim 4-int columns); per-round state is the
-    (node, arrival) table, broadcast under a 256 MB budget via sorted
+    (node, arrival) table, broadcast under the plan's budget via sorted
     searchsorted lookup, degrading to a distributed hash join above it;
     a per-batch min-per-dst combiner defuses hot destinations before the
     exchange.
@@ -3789,32 +3742,27 @@ def temporal_reachability(
         seeds_ds.map_batches(seed_arr, batch_format="pyarrow"), "node"
     ).materialize()
 
-    # budget-gated fast path: when the stamped edge list and the seed set
-    # both fit, ONE task runs every synchronous relaxation with the same
-    # int64 math (parity-tested in tests/test_graph_local_parity.py).
-    if (
-        (ew.size_bytes() or 0) <= budget
-        and (arrivals.size_bytes() or 0) <= budget
-    ):
-        import ray as _ray
-
-        seeds_np = np.concatenate(
-            [
-                t["node"].to_numpy(zero_copy_only=False)
-                for t in _ray.get(arrivals.to_arrow_refs())
-                if t.num_rows
-            ]
-            or [np.array([], np.int64)]
-        ).astype(np.int64)
-        return _run_in_one_task(
+    # one-task fast path: when the stamped edge list fits one task and
+    # the seed set broadcasts, ONE task runs every synchronous relaxation
+    # with the same int64 math (parity-tested in
+    # tests/test_graph_local_parity.py).
+    path, ew = plan.choose("temporal_reachability", ew, "one_task_slim")
+    seeds_path, arrivals = plan.choose("temporal_reachability.seeds",
+                                       arrivals)
+    if path == "one_task" and seeds_path == "broadcast":
+        st = plan.gather(arrivals)
+        seeds_np = (
+            st["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+            if st.num_rows else np.array([], np.int64)
+        )
+        return plan.run_in_one_task(
             ew, lambda g: _temporal_solve_local(g, seeds_np, rounds)
         )
 
     for _ in range(rounds):
-        if (arrivals.size_bytes() or 0) <= budget:
-            tab = pa.concat_tables(
-                ray.get(arrivals.to_arrow_refs()), promote_options="default"
-            )
+        path, arrivals = plan.choose("temporal_reachability", arrivals)
+        if path == "broadcast":
+            tab = plan.gather(arrivals)
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             arr_np = tab["arrival"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3916,8 +3864,6 @@ def boruvka_msf(
     *,
     rounds: int | None = 2,
     weight_of=None,
-    budget: int = 256 << 20,
-    local_budget: int | None = None,
 ):
     """Boruvka minimum-spanning-forest rounds over the undirected md5
     link graph -- the canonical "log-round" distributed graph algorithm
@@ -3940,7 +3886,7 @@ def boruvka_msf(
 
     Scale shape (100 TB): the weighted canonical edge list materializes
     ONCE (3 int64 columns); per-round state is the (node, comp) table --
-    one slim row per node, broadcast under ``budget`` via sorted
+    one slim row per node, broadcast under the plan's budget via sorted
     searchsorted arrays and degrading to a distributed hash join above
     it; selection partials cut each batch to <= #comps rows BEFORE the
     exchange (per-batch lexsort argmin combiner), the per-comp finish is
@@ -4014,15 +3960,14 @@ def boruvka_msf(
         lambda b: b.select(["u", "v", "w"]), batch_format="pyarrow"
     ).materialize()
 
-    # budget-gated fast path: the canonical weighted edge list is orders
+    # one-task fast path: the canonical weighted edge list is orders
     # smaller than the corpus that produced it; when it fits one task,
     # ONE worker runs every round with the identical deterministic math
     # (parity-tested in tests/test_graph_local_parity.py).  Isolated
     # nodes never select an edge, so the edge list alone suffices.
-    if (ew.size_bytes() or 0) <= (
-        budget if local_budget is None else local_budget
-    ):
-        return _run_in_one_task(
+    path, ew = plan.choose("boruvka_msf", ew, "one_task_slim")
+    if path == "one_task":
+        return plan.run_in_one_task(
             ew, lambda g: _boruvka_solve_local(g, rounds)
         )
 
@@ -4040,10 +3985,9 @@ def boruvka_msf(
     r = 0
     while rounds is None or r < rounds:
         r += 1
-        if (comp.size_bytes() or 0) <= budget:
-            tab = pa.concat_tables(
-                ray.get(comp.to_arrow_refs()), promote_options="default"
-            )
+        path, comp = plan.choose("boruvka_msf", comp)
+        if path == "broadcast":
+            tab = plan.gather(comp)
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             comp_np = tab["comp"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -4164,15 +4108,14 @@ def boruvka_msf(
             lambda b: pa.table({"subj": b["cu"], "obj": b["cv"]}),
             batch_format="pyarrow",
         )
-        cc = connected_components_local(cc_edges, budget=budget)
+        cc = connected_components_local(cc_edges)
         if cc is None:  # pragma: no cover - scale path
             cc = connected_components(cc_edges, rounds=20, doubling=True)
         cc = cc.materialize()
 
-        if (cc.size_bytes() or 0) <= budget:
-            cct = pa.concat_tables(
-                ray.get(cc.to_arrow_refs()), promote_options="default"
-            )
+        path, cc = plan.choose("boruvka_msf", cc)
+        if path == "broadcast":
+            cct = plan.gather(cc)
             old = cct["node"].to_numpy(zero_copy_only=False).astype(np.int64)
             new = cct["root"].to_numpy(zero_copy_only=False).astype(np.int64)
             o = np.argsort(old, kind="stable")
@@ -4236,8 +4179,7 @@ def boruvka_msf(
     )
 
 
-def connected_components_incremental(labels_ds, new_edges_ds, *,
-                                     budget: int = 256 << 20):
+def connected_components_incremental(labels_ds, new_edges_ds):
     """INCREMENTAL connected components: fold a new window of edges into
     an existing (node, root) labeling WITHOUT re-solving the old graph
     -- the daily-crawl growth path (reference analog: the nightly
@@ -4249,8 +4191,8 @@ def connected_components_incremental(labels_ds, new_edges_ds, *,
     old labeling never saw own themselves), CC runs on the CONTRACTED
     graph -- O(new edges + touched components), independent of the old
     graph's size -- and the composition old-root -> new-root applies to
-    the old labeling with one vectorized lookup (broadcast under
-    ``budget``, distributed join above).
+    the old labeling with one vectorized lookup (broadcast when the plan
+    allows, distributed join above).
 
     Exactness: contracting a partition of already-connected sets
     preserves connectivity, so the result equals CC over (old edges
@@ -4269,13 +4211,10 @@ def connected_components_incremental(labels_ds, new_edges_ds, *,
     )
     from .dedup import distinct_first
 
-    labels = labels_ds.materialize()
-
     # relabel new edges through the old labeling
-    if (labels.size_bytes() or 0) <= budget:
-        tab = pa.concat_tables(
-            ray.get(labels.to_arrow_refs()), promote_options="default"
-        )
+    path, labels = plan.choose("connected_components_incremental", labels_ds)
+    if path == "broadcast":
+        tab = plan.gather(labels)
         nodes_np = tab["node"].to_numpy(zero_copy_only=False)
         roots_np = tab["root"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -4367,17 +4306,16 @@ def connected_components_incremental(labels_ds, new_edges_ds, *,
             batch_format="pyarrow",
         )
 
-    cc = connected_components_local(contracted, budget=budget)
+    cc = connected_components_local(contracted)
     if cc is None:  # pragma: no cover - scale path
         cc = connected_components(contracted, rounds=20, doubling=True)
     cc = cc.materialize()
 
     # compose: old labeling through the contracted relabeling, plus any
     # brand-new nodes the old labeling never covered
-    if (cc.size_bytes() or 0) <= budget:
-        cct = pa.concat_tables(
-            ray.get(cc.to_arrow_refs()), promote_options="default"
-        )
+    path, cc = plan.choose("connected_components_incremental", cc)
+    if path == "broadcast":
+        cct = plan.gather(cc)
         old = cct["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         new = cct["root"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(old, kind="stable")
@@ -4458,7 +4396,6 @@ def greedy_matching(
     *,
     rounds: int = 3,
     weight_salt: str = "g",
-    budget: int = 256 << 20,
 ):
     """Distributed greedy MAXIMAL MATCHING by synchronous handshaking
     (the Israeli--Itai shape): each round every still-unmatched node
@@ -4528,8 +4465,9 @@ def greedy_matching(
         lambda b: b.select(["u", "v", "w"]), batch_format="pyarrow"
     ).materialize()
 
-    if (live.size_bytes() or 0) <= budget:
-        return _run_in_one_task(
+    path, live = plan.choose("greedy_matching", live, "one_task_slim")
+    if path == "one_task":
+        return plan.run_in_one_task(
             live, lambda g: _matching_solve_local(g, rounds)
         )
 
@@ -4587,7 +4525,7 @@ def greedy_matching(
             )
         )
         live = anti_join_filter(
-            live, matched_nodes, "u", broadcast_budget=budget
+            live, matched_nodes, "u"
         )
         live = anti_join_filter(
             live,
@@ -4595,7 +4533,6 @@ def greedy_matching(
                 lambda b: pa.table({"v": b["u"]}), batch_format="pyarrow"
             ),
             "v",
-            broadcast_budget=budget,
         ).materialize()
 
     if matched_edges is None:
@@ -4674,25 +4611,6 @@ def _pairs_with_count2_bucketed(ds, key_col: str = "_k",
         ds.map_batches(tag, batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(finish, batch_format="pyarrow")
-    )
-
-
-def _run_in_one_task(mat_ds, solve):
-    """Ship a solved-in-one-task computation to a worker (the
-    connected_components_local shape): tag every row into one group and
-    map_groups the vectorized solver over it -- no driver compute."""
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_g", pa.array(np.zeros(len(b), np.int8), pa.int8())
-        )
-
-    def run(g: pa.Table) -> pa.Table:
-        return solve(g.drop_columns(["_g"]))
-
-    return (
-        mat_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_g")
-        .map_groups(run, batch_format="pyarrow")
     )
 
 
@@ -4839,8 +4757,7 @@ def _temporal_solve_local(g: pa.Table, seeds: np.ndarray,
     )
 
 
-def dag_longest_path_layers(edges_ds, *, rounds: int = 3,
-                            budget: int = 256 << 20):
+def dag_longest_path_layers(edges_ds, *, rounds: int = 3):
     """Bounded-round LONGEST-PATH layering of a DAG -- the max-plus dual
     of sssp_weighted: layer_r(v) = max(layer_{r-1}(v), max over in-edges
     of layer_{r-1}(u) + 1), layer_0 = 0 everywhere.  After R rounds a
@@ -4852,7 +4769,7 @@ def dag_longest_path_layers(edges_ds, *, rounds: int = 3,
 
     Exact: int64 max of int64 sums, order-independent -- unrolled by the
     DuckDB oracle.  Scale shape: identical to temporal_reachability
-    (budget-gated one-task fast path; distributed rounds keep state as
+    (one-task fast path; distributed rounds keep state as
     one slim (node, layer) row per node with per-batch max-per-dst
     combiners).
     """
@@ -4867,9 +4784,12 @@ def dag_longest_path_layers(edges_ds, *, rounds: int = 3,
             }
         )
 
-    ew = edges_ds.map_batches(canon, batch_format="pyarrow").materialize()
-
-    if (ew.size_bytes() or 0) <= budget:
+    path, ew = plan.choose(
+        "dag_longest_path_layers",
+        edges_ds.map_batches(canon, batch_format="pyarrow"),
+        "one_task_slim",
+    )
+    if path == "one_task":
         def solve(g: pa.Table) -> pa.Table:
             src = g["src"].to_numpy(zero_copy_only=False)
             dst = g["dst"].to_numpy(zero_copy_only=False)
@@ -4888,7 +4808,7 @@ def dag_longest_path_layers(edges_ds, *, rounds: int = 3,
                 }
             )
 
-        return _run_in_one_task(ew, solve)
+        return plan.run_in_one_task(ew, solve)
 
     # distributed rounds (scale path): state = (node, layer)
     layers = ew.map_batches(
@@ -4942,7 +4862,6 @@ def onion_layers(
     *,
     k: int = 3,
     rounds: int = 3,
-    broadcast_budget: int = 256 << 20,
 ):
     """Onion / degeneracy layering of the k-core peel (Hebert-Dufresne,
     Grochow & Allard 2016, public): run ``rounds`` synchronous peels at
@@ -5050,7 +4969,6 @@ def onion_layers(
         else:
             peeled = anti_join_filter(
                 prev_surv, surv, "node",
-                broadcast_budget=broadcast_budget,
             )
         stamped = peeled.map_batches(stamp(r), batch_format="pyarrow")
         out = stamped if out is None else out.union(stamped)
@@ -5065,12 +4983,10 @@ def onion_layers(
         cur = semi_join_filter(
             semi_join_filter(
                 cur, surv, "u", keys_col="node",
-                broadcast_budget=broadcast_budget,
             ).map_batches(swap, batch_format="pyarrow"),
             surv,
             "u",
             keys_col="node",
-            broadcast_budget=broadcast_budget,
         ).map_batches(swap, batch_format="pyarrow").materialize()
     core = prev_surv.map_batches(stamp(rounds + 1), batch_format="pyarrow")
     return out.union(core) if out is not None else core
@@ -5085,7 +5001,6 @@ def node2vec_walks(
     w_far: int = 2,
     src_col: str = "src",
     dst_col: str = "dst",
-    broadcast_budget: int = 256 << 20,
 ):
     """Deterministic node2vec p/q-biased walks (Grover & Leskovec 2016,
     public) over the DIRECTED simple graph: one walk per node with
@@ -5190,10 +5105,9 @@ def node2vec_walks(
         batch_format="pyarrow",
     )
 
-    if adj.size_bytes() <= broadcast_budget:
-        tab = pa.concat_tables(
-            ray.get(adj.to_arrow_refs()), promote_options="default"
-        )
+    path, adj = plan.choose("node2vec_walks", adj)
+    if path == "broadcast":
+        tab = plan.gather(adj)
         n_np = tab["node"].to_numpy(zero_copy_only=False)
         v_np = tab["nbr"].to_numpy(zero_copy_only=False)
         if len(n_np) and (
@@ -5203,7 +5117,7 @@ def node2vec_walks(
             raise ValueError(
                 "node2vec_walks: broadcast membership packs (t, x) into "
                 "int64 -- needs 0 <= node < 2^32; remap ids or lower "
-                "the broadcast budget to force the join path"
+                "plan.BUDGETS['broadcast'] to force the join path"
             )
         i_np = tab["idx"].to_numpy(zero_copy_only=False)
         order = np.lexsort((i_np, n_np))
@@ -5291,7 +5205,7 @@ def node2vec_walks(
     # groupby pick, once per step
     from .dedup import normalize_join_blocks
 
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
     eflag = adj.map_batches(
         lambda b: pa.table(
             {
@@ -5580,16 +5494,16 @@ def _scc_solve_local(g: pa.Table) -> pa.Table:
     )
 
 
-def scc_local(edges_ds, *, budget: int = 128 << 20):
-    """Budget-gated one-task exact SCC (the pagerank_local /
+def scc_local(edges_ds):
+    """One-task exact SCC (the pagerank_local /
     connected_components_local precedent): edge lists that fit one
     worker solve with iterative Tarjan in a single task, skipping the
     outer-round exchanges of :func:`scc`.  Returns the (node, scc)
-    Dataset or ``None`` when over budget."""
-    mat_e = edges_ds.materialize()
-    if mat_e.size_bytes() > budget:
+    Dataset or ``None`` when the plan picks the distributed rounds."""
+    path, mat_e = plan.choose("scc_local", edges_ds, "one_task")
+    if path == "rounds":
         return None
-    return _run_in_one_task(
+    return plan.run_in_one_task(
         mat_e.map_batches(
             lambda b: pa.table(
                 {
@@ -5608,8 +5522,6 @@ def scc(
     *,
     max_outer: int = 20,
     max_inner: int = 200,
-    broadcast_budget: int = 256 << 20,
-    local_core_budget: int = 128 << 20,
     trim_min_frac: float = 0.005,
 ):
     """Exact distributed strongly-connected components via
@@ -5639,27 +5551,27 @@ def scc(
     phase: measured on a 20M-node md5 graph, trickle-trimming deep
     in-trees was >70 min of sequential barriers; trim is an
     optimization, never a correctness requirement),
-    then (b) if the surviving cyclic core fits ``local_core_budget``
-    bytes -- the normal bow-tie web-graph outcome -- ONE Tarjan task
-    finishes it (set 0 to force the rounds); otherwise (c) color rounds
-    are one edges-join-colors + per-batch max combiner + groupby-max
-    each (the pagerank exchange shape), converging when the color-sum
-    and hashed-xor fingerprints both repeat, and (d) backward
+    then (b) if the surviving cyclic core fits the plan's ``one_task``
+    budget -- the normal bow-tie web-graph outcome -- ONE Tarjan task
+    finishes it (patch ``plan.BUDGETS`` to force the rounds); otherwise
+    (c) color rounds are one edges-join-colors + per-batch max combiner
+    + groupby-max each (the pagerank exchange shape), converging when the
+    color-sum and hashed-xor fingerprints both repeat, and (d) backward
     reachability runs only over intra-color edges (annotated once per
     round) with distinct-frontier semi-joins.  Color/backward round
     counts are O(core diameter) -- the documented cost of exact
     distributed SCC; the trim + local-core hybrid exists precisely so
     that path is rare.  All membership filters are broadcast-or-join
-    under ``broadcast_budget``; nothing materializes on the driver.  The md5-graph contract query runs the
-    budget-gated :func:`scc_local` fast path; the distributed rounds
-    are forced in the parity pytest."""
+    plan decisions; nothing materializes on the driver.  The md5-graph
+    contract query runs the one-task :func:`scc_local` fast path; the
+    distributed rounds are forced in the parity pytest."""
     from ray.data.aggregate import Max, Min
 
     from .dedup import (anti_join_filter, distinct_first,
                         normalize_join_blocks, semi_join_filter)
     import ray
 
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
 
     def canon(b: pa.Table) -> pa.Table:
         s = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -5720,12 +5632,10 @@ def scc(
     def attach(ds, map_ds, key, out_name):
         """Annotate ds[key] with the color from map_ds (node, color):
         broadcast lookup under budget, distributed join above."""
-        mat = map_ds.materialize()
-        if mat.size_bytes() <= broadcast_budget:
-            tabs = [t for t in ray.get(mat.to_arrow_refs()) if t.num_rows]
-            tab = (pa.concat_tables(tabs, promote_options="default")
-                   if tabs else None)
-            if tab is None:
+        path, mat = plan.choose("scc", map_ds)
+        if path == "broadcast":
+            tab = plan.gather(mat)
+            if not tab.num_rows:
                 return ds.map_batches(
                     lambda b: b.append_column(
                         out_name, pa.nulls(len(b), pa.int64())
@@ -5804,12 +5714,13 @@ def scc(
                 }
             )
 
+        core = None
         for _ in range(max_inner):
             # stop trimming the moment the remainder fits one worker --
             # every further distributed peel round would cost more than
             # the single Tarjan task that replaces it
-            if (local_core_budget
-                    and act_e.size_bytes() <= local_core_budget):
+            core, act_e = plan.choose("scc", act_e, "one_task")
+            if core == "one_task":
                 break
             deg = (
                 act_e.map_batches(io_partial, batch_format="pyarrow")
@@ -5848,17 +5759,15 @@ def scc(
             act_e = semi_join_filter(
                 semi_join_filter(
                     act_e, keep, "src", keys_col="node",
-                    broadcast_budget=broadcast_budget,
                 ),
                 keep, "dst", keys_col="node",
-                broadcast_budget=broadcast_budget,
             ).materialize()
+            core = None  # the decision above measured the old edge list
             # survivors whose every edge touched a trimmed node are now
             # edge-less: they can no longer sit in a multi-node SCC --
             # assign them as singletons or they vanish unlabeled
             stranded = anti_join_filter(
                 keep, endpoints(act_e), "node",
-                broadcast_budget=broadcast_budget,
             ).map_batches(
                 lambda b: pa.table({"node": b["node"], "root": b["node"]}),
                 batch_format="pyarrow",
@@ -5886,12 +5795,10 @@ def scc(
         # distributed color/backward rounds (the pagerank_local
         # precedent, applied mid-operator).  Cores above the budget
         # fall through to the full distributed rounds.
-        if local_core_budget and act_e.size_bytes() <= local_core_budget:
-            logging.getLogger(__name__).info(
-                "scc outer %d: core fits local budget (%d bytes), "
-                "one-task Tarjan", outer, act_e.size_bytes(),
-            )
-            labs = _run_in_one_task(
+        if core is None:
+            core, act_e = plan.choose("scc", act_e, "one_task")
+        if core == "one_task":
+            labs = plan.run_in_one_task(
                 act_e, _scc_solve_local
             ).map_batches(
                 lambda b: pa.table(
@@ -6061,9 +5968,8 @@ def scc(
         act_e = anti_join_filter(
             anti_join_filter(
                 act_e, reached_s, "src",
-                broadcast_budget=broadcast_budget,
             ),
-            reached_d, "dst", broadcast_budget=broadcast_budget,
+            reached_d, "dst",
         ).materialize()
         # unassigned survivors stranded edge-less by the removal are
         # singleton SCCs (had they shared a root's component, the
@@ -6071,10 +5977,8 @@ def scc(
         stranded = anti_join_filter(
             anti_join_filter(
                 act_n, reached, "node",
-                broadcast_budget=broadcast_budget,
             ),
             endpoints(act_e), "node",
-            broadcast_budget=broadcast_budget,
         ).map_batches(
             lambda b: pa.table({"node": b["node"], "root": b["node"]}),
             batch_format="pyarrow",
@@ -6103,11 +6007,9 @@ def scc(
     )
 
     # broadcast-or-join relabel of roots to component minima
-    mat = mins.materialize()
-    tabs = [t for t in __import__("ray").get(mat.to_arrow_refs())
-            if t.num_rows]
-    if mat.size_bytes() <= broadcast_budget and tabs:
-        tab = pa.concat_tables(tabs, promote_options="default")
+    path, mat = plan.choose("scc", mins)
+    tab = plan.gather(mat) if path == "broadcast" else None
+    if tab is not None and tab.num_rows:
         nd = tab["node"].to_numpy(zero_copy_only=False)
         cl = tab["color"].to_numpy(zero_copy_only=False)
         order = np.argsort(nd)
@@ -6145,12 +6047,7 @@ def scc(
     return relabeled
 
 
-def scc_condensation(
-    edges,
-    labels_ds,
-    *,
-    broadcast_budget: int = 256 << 20,
-):
+def scc_condensation(edges, labels_ds):
     """Condensation DAG of the directed simple graph given its SCC
     labeling (node, scc): every distinct edge (u, v) with
     scc(u) != scc(v) becomes a super-edge (src_scc, dst_scc) counted
@@ -6161,7 +6058,7 @@ def scc_condensation(
     edges between the two components.
 
     Scale shape: the label table is slim (node, scc) -- broadcast once
-    via ray.put under ``broadcast_budget`` with a sorted searchsorted
+    via ray.put when the plan broadcasts it, with a sorted searchsorted
     lookup per batch, or two distributed hash joins above it; per-batch
     (src_scc, dst_scc) np.unique combiners collapse multiplicity before
     the ONE final groupby-sum."""
@@ -6192,10 +6089,9 @@ def scc_condensation(
         edges.map_batches(canon, batch_format="pyarrow"), "pk"
     ).drop_columns(["pk"])
 
-    lab = labels_ds.materialize()
-    if lab.size_bytes() <= broadcast_budget:
-        tabs = [t for t in ray.get(lab.to_arrow_refs()) if t.num_rows]
-        tab = pa.concat_tables(tabs, promote_options="default")
+    path, lab = plan.choose("scc_condensation", labels_ds)
+    if path == "broadcast":
+        tab = plan.gather(lab)
         nd = tab["node"].to_numpy(zero_copy_only=False)
         sc = tab["scc"].to_numpy(zero_copy_only=False)
         order = np.argsort(nd)
@@ -6270,8 +6166,6 @@ def maximal_independent_set(
     *,
     rounds: int | None = None,
     max_rounds: int = 30,
-    broadcast_budget: int = 256 << 20,
-    local_budget: int = 128 << 20,
 ):
     """Luby's maximal independent set (Luby 1986, public) over the
     UNDIRECTED simple graph with DETERMINISTIC priorities: node ``v``
@@ -6331,10 +6225,11 @@ def maximal_independent_set(
         edges.map_batches(canon, batch_format="pyarrow"), "pk"
     ).drop_columns(["pk"]).materialize()
 
-    # budget-gated one-task fast path (bit-identical rounds; the
-    # parity pytest forces the distributed branch with local_budget=0)
-    if local_budget and cur.size_bytes() <= local_budget:
-        return _run_in_one_task(
+    # one-task fast path (bit-identical rounds; the parity pytest forces
+    # the distributed branch through plan.BUDGETS)
+    path, cur = plan.choose("maximal_independent_set", cur, "one_task")
+    if path == "one_task":
+        return plan.run_in_one_task(
             cur,
             lambda g: _mis_solve_local(g, rounds, max_rounds),
         )
@@ -6419,7 +6314,6 @@ def maximal_independent_set(
         # stranded degree-0 actives (not an endpoint of any live edge)
         stranded = anti_join_filter(
             active, actives_of(cur), "node",
-            broadcast_budget=broadcast_budget,
         ).materialize()
         picked = mis_r.union(stranded).materialize()
         if picked.count() == 0 and rounds is None:
@@ -6428,13 +6322,11 @@ def maximal_independent_set(
         # remove MIS + its neighbors from the active set / edge list
         nbrs = semi_join_filter(
             cur, mis_r, "u", keys_col="node",
-            broadcast_budget=broadcast_budget,
         ).map_batches(
             lambda b: pa.table({"node": b["v"]}), batch_format="pyarrow"
         ).union(
             semi_join_filter(
                 cur, mis_r, "v", keys_col="node",
-                broadcast_budget=broadcast_budget,
             ).map_batches(
                 lambda b: pa.table({"node": b["u"]}),
                 batch_format="pyarrow",
@@ -6444,7 +6336,7 @@ def maximal_independent_set(
             picked.union(nbrs), "node"
         ).materialize()
         active = anti_join_filter(
-            active, removed, "node", broadcast_budget=broadcast_budget
+            active, removed, "node"
         ).materialize()
         cur = anti_join_filter(
             anti_join_filter(
@@ -6453,13 +6345,13 @@ def maximal_independent_set(
                     lambda b: pa.table({"u": b["node"]}),
                     batch_format="pyarrow",
                 ),
-                "u", broadcast_budget=broadcast_budget,
+                "u",
             ),
             removed.map_batches(
                 lambda b: pa.table({"v": b["node"]}),
                 batch_format="pyarrow",
             ),
-            "v", broadcast_budget=broadcast_budget,
+            "v",
         ).materialize()
     if not mis_parts:
         import ray.data as rd
@@ -6590,7 +6482,6 @@ def pagerank_weighted(
     damping_num: int = 85,
     damping_den: int = 100,
     weight_fn=None,
-    broadcast_budget: int = 256 << 20,
     personalization=None,
 ):
     """Weighted PageRank (the link-strength variant, public): each
@@ -6630,7 +6521,7 @@ def pagerank_weighted(
     import ray
 
     weight_fn = weight_fn or _wpr_default_weight
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
 
     def canon(b: pa.Table) -> pa.Table:
         s = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -6715,9 +6606,9 @@ def pagerank_weighted(
 
     # attach wout to edges once (broadcast-or-join)
     def attach_map(ds, mat, key, valcol, out_name):
-        if mat.size_bytes() <= broadcast_budget:
-            tabs = [t for t in ray.get(mat.to_arrow_refs()) if t.num_rows]
-            tab = pa.concat_tables(tabs, promote_options="default")
+        path, mat = plan.choose("pagerank_weighted", mat)
+        if path == "broadcast":
+            tab = plan.gather(mat)
             nd = tab["node"].to_numpy(zero_copy_only=False)
             vl = tab[valcol].to_numpy(zero_copy_only=False)
             order = np.argsort(nd)
@@ -6854,7 +6745,6 @@ def pagerank_weighted_local(
     edges_ds,
     nodes_ds,
     *,
-    budget: int = 128 << 20,
     iterations: int = 3,
     scale: int = 10**12,
     damping_num: int = 85,
@@ -6862,14 +6752,16 @@ def pagerank_weighted_local(
     weight_fn=None,
     personalization=None,
 ):
-    """Budget-gated one-task weighted PageRank -- the identical integer
+    """One-task weighted PageRank -- the identical integer
     recurrence vectorized with np.add.at (bit-identical to
     :func:`pagerank_weighted`, incl. the ``personalization`` seed-set
     teleport/dangling variant; the parity pytest runs both).  Returns
-    the (node, rank) Dataset or ``None`` when over budget."""
+    the (node, rank) Dataset or ``None`` when the plan picks the
+    distributed rounds."""
     weight_fn = weight_fn or _wpr_default_weight
-    mat_e = edges_ds.materialize()
-    if mat_e.size_bytes() > budget:
+    path, mat_e = plan.choose("pagerank_weighted_local", edges_ds,
+                              "one_task")
+    if path == "rounds":
         return None
     import ray
 
@@ -7022,8 +6914,6 @@ def stress_centrality_sampled(
     seeds_ds,
     *,
     depth: int = 3,
-    broadcast_budget: int = 256 << 20,
-    local_budget: int = 128 << 20,
 ):
     """Sampled-source, depth-bounded STRESS centrality (Shimbel 1953 /
     the integer cousin of Brandes betweenness, public): for every seed
@@ -7047,7 +6937,7 @@ def stress_centrality_sampled(
     broadcast-or-anti-join against the visited pair set; each backward
     step is one join + broadcast membership/value lookup against the
     NEXT level (per-seed frontier tables are #seeds x bounded-frontier
-    rows -- the sampling bound).  Budget-gated one-task fast path first
+    rows -- the sampling bound).  One-task fast path first
     (bit-identical; the parity pytest forces both)."""
     from ray.data.aggregate import Sum
 
@@ -7055,21 +6945,20 @@ def stress_centrality_sampled(
                         normalize_join_blocks)
     import ray
 
-    mat_e = edges.materialize()
     seeds_mat = seeds_ds.materialize()
-    if local_budget and mat_e.size_bytes() <= local_budget:
-        stabs = [t for t in ray.get(seeds_mat.to_arrow_refs())
-                 if t.num_rows]
+    path, mat_e = plan.choose("stress_centrality_sampled", edges,
+                              "one_task")
+    if path == "one_task":
+        st = plan.gather(seeds_mat)
         seeds_np = (
-            pa.concat_tables(stabs, promote_options="default")["s"]
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-            if stabs else np.array([], np.int64)
+            st["s"].to_numpy(zero_copy_only=False).astype(np.int64)
+            if st.num_rows else np.array([], np.int64)
         )
-        return _run_in_one_task(
+        return plan.run_in_one_task(
             mat_e, lambda g: _stress_solve_local(g, seeds_np, depth)
         )
 
-    nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    nparts = plan.join_partitions()
 
     def canon(b: pa.Table) -> pa.Table:
         s = b["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7163,7 +7052,7 @@ def stress_centrality_sampled(
             expanded.groupby("key").aggregate(
                 Sum("sig", alias_name="sig")
             ),
-            visited, "key", broadcast_budget=broadcast_budget,
+            visited, "key",
         ).map_batches(
             lambda b: pa.table(
                 {

@@ -33,6 +33,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 _I64MAX = np.iinfo(np.int64).max
 
 
@@ -260,16 +262,15 @@ def asof_join_wide(
     num_buckets: int | None = None,
     num_partitions: int | None = None,
     direction: str = "backward",
-    broadcast_budget: int = 256 << 20,
 ):
     """Wide-table as-of join (VERDICT r2 #6): the bucket exchange carries
     ONLY the slim (key, time, tiebreak, row-id) projection -- wide payload
     columns never ship through the as-of shuffle.  Matches are computed by
     ``asof_join`` on the slim sides, then payloads are attached by the
     post-join gather: when BOTH the match table and the projected right
-    payload fit ``broadcast_budget`` they broadcast once and attach as
-    vectorized ``index_in`` lookups inside one map-only pass over the
-    left table (zero additional exchanges); above budget each attach
+    payload are broadcast by the plan (ops/plan.py) they go out once and
+    attach as vectorized ``index_in`` lookups inside one map-only pass
+    over the left table (zero additional exchanges); otherwise each attach
     degrades independently to a distributed hash join on the row ids.
 
     Row-id contract: ``left_id`` / ``right_id`` must be unique AND
@@ -337,26 +338,10 @@ def asof_join_wide(
         _uniq([right_id] + right_cols)
     ).map_batches(project_right, batch_format="pyarrow")
 
-    def _broadcast(ds):
-        """(driver table | None, materialized ds) under the byte budget."""
-        import ray
-
-        mat = ds.materialize()
-        if (mat.size_bytes() or 0) > broadcast_budget:
-            return None, mat
-        tabs = [t for t in ray.get(mat.to_arrow_refs()) if t.num_rows]
-        if not tabs:
-            sch = mat.schema()
-            return pa.table(
-                {n: pa.array([], t)
-                 for n, t in zip(sch.names, sch.types)}
-            ), mat
-        return pa.concat_tables(tabs, promote_options="default"), mat
-
-    mtab, mmat = _broadcast(matches)
+    mtab, mmat = plan.small_side("asof_join_wide", matches)
     rtab, rmat = (None, None)
     if mtab is not None:
-        rtab, rmat = _broadcast(right_proj)
+        rtab, rmat = plan.small_side("asof_join_wide", right_proj)
     out_cols = left_cols + [c + suffix for c in right_cols]
 
     if mtab is not None and rtab is not None:

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 logger = logging.getLogger("marc2rdf_ray.windows")
 
 # per-key row guard: the window ops below assume one key's rows fit one
@@ -361,7 +363,6 @@ def running_totals(
     value_col: str = "value",
     num_buckets: int | None = None,
     segment_us: int | None = None,
-    carry_broadcast_budget: int = 256 << 20,
 ):
     """Per-key cumulative window aggregate -- SQL's ``SUM(v) OVER
     (PARTITION BY key ORDER BY ts, id ROWS UNBOUNDED PRECEDING)`` -- as a
@@ -552,11 +553,12 @@ def running_totals(
 
     out_cols = ["event_id", "user_id", "ts_us", "running_cnt",
                 "running_cents"]
-    if offs.size_bytes() <= carry_broadcast_budget:
-        tabs = [t for t in ray.get(offs.to_arrow_refs()) if t.num_rows]
-        tab = (pa.concat_tables(tabs, promote_options="default")
-               if tabs else pa.table({"user_id": [], "seg": [],
-                                      "off_n": [], "off_v": []}))
+    path, offs = plan.choose("running_totals", offs)
+    if path == "broadcast":
+        tab = plan.gather(offs)
+        if not tab.num_rows:
+            tab = pa.table({"user_id": [], "seg": [], "off_n": [],
+                            "off_v": []})
         ou = tab["user_id"].to_numpy(zero_copy_only=False)
         osg = tab["seg"].to_numpy(zero_copy_only=False)
         on = tab["off_n"].to_numpy(zero_copy_only=False)

@@ -41,8 +41,8 @@ Scale notes (the 100-TB shapes, per stage):
   shuffle -- dedup rides the shuffle that must happen anyway to co-locate
   equal texts; no separate keep-set join.
 - near-dup candidates come from the banded/bucketed/capped LSH operator
-  (ops/dedup.py); only the (tiny) drop list crosses back, broadcast under
-  ``broadcast_budget`` with a distributed anti-join fallback.
+  (ops/dedup.py); only the (tiny) drop list crosses back, broadcast when
+  the plan allows (ops/plan.py) with a distributed anti-join fallback.
 - the fused prep map is stateless and vectorized (RE2 kernels for
   redaction/decontamination, one count_substring_regex for tokens); text
   crosses exactly one more exchange after it (the final id-range
@@ -72,6 +72,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..ops import plan
 from ..state import fsio
 from ..state.manifest import (
     RunManifest,
@@ -128,7 +129,6 @@ class CorpusConfig:
     # T4; dedup_provenance's pipeline-integrated form).
     audit: bool = False
     num_partitions: Optional[int] = None  # None => 2 x CPU, floor 16
-    broadcast_budget: int = 256 << 20
     # 0 => AUTO spill cap for the text-carrying dedup exchange
     # (stages/materialize.choose_shards over the input bytes); >=1 is
     # honored verbatim.  Corpora whose dedup exchange would overflow the
@@ -163,7 +163,6 @@ class CorpusConfig:
             "clean", self.drops_stage_hash(), self.min_tokens,
             self.drop_und, self.langs, self.blocked_spans,
             self.redact_patterns, self.split_fractions,
-            self.broadcast_budget,
         )
 
 
@@ -398,16 +397,14 @@ def _audit_reason_fn(config: CorpusConfig):
     return reasons
 
 
-def _attach_ranks(ds, ranks_mat, budget: int):
+def _attach_ranks(ds, ranks_mat):
     """Annotate every row with its deterministic shuffle ``rank`` (from a
     materialized (doc_id, rank) table): broadcast searchsorted lookup
-    under ``budget`` bytes, distributed inner join above it."""
+    when the plan allows, distributed inner join above it."""
     import ray
 
-    if ranks_mat.size_bytes() <= budget:
-        tabs = [t for t in ray.get(ranks_mat.to_arrow_refs())
-                if t.num_rows]
-        tab = pa.concat_tables(tabs, promote_options="default")
+    tab, ranks_mat = plan.small_side("corpus._attach_ranks", ranks_mat)
+    if tab is not None:
         ids = tab["doc_id"].to_numpy(zero_copy_only=False)
         rk = tab["rank"].to_numpy(zero_copy_only=False)
         o = np.argsort(ids)
@@ -619,14 +616,12 @@ def run_corpus_pipeline(
             lambda b: pa.table({"subj": b["a"], "obj": b["b"]}),
             batch_format="pyarrow",
         )
-        # LSH pair lists are orders smaller than the corpus: under the
-        # broadcast budget ONE task solves the converged fixpoint with
-        # zero shuffle rounds; above it, the distributed rounds run.
+        # LSH pair lists are orders smaller than the corpus: when they
+        # fit one task, it solves the converged fixpoint with zero
+        # shuffle rounds; above that, the distributed rounds run.
         from ..stages.canonicalize import connected_components_local
 
-        comp = connected_components_local(
-            edges, budget=config.broadcast_budget
-        )
+        comp = connected_components_local(edges)
         if comp is None:
             comp = connected_components(edges, rounds=config.cc_rounds)
         drops = comp.map_batches(
@@ -660,7 +655,6 @@ def run_corpus_pipeline(
                 deduped,
                 rd.read_parquet(drop_files, filesystem=fs),
                 id_col,
-                broadcast_budget=config.broadcast_budget,
             )
         deduped.map_batches(
             _prep_fn(config), batch_format="pyarrow"
@@ -711,7 +705,6 @@ def run_corpus_pipeline(
             parts = [
                 anti_join_filter(
                     in_ids, kept1, "doc_id",
-                    broadcast_budget=config.broadcast_budget,
                 ).map_batches(tag("exact"), batch_format="pyarrow")
             ]
             if drop_files:
@@ -726,7 +719,6 @@ def run_corpus_pipeline(
                     stage3_in,
                     rd.read_parquet(drop_files, filesystem=fs),
                     id_col,
-                    broadcast_budget=config.broadcast_budget,
                 )
             parts.append(
                 stage3_in.map_batches(
@@ -771,7 +763,7 @@ def run_corpus_pipeline(
         override_num_blocks=nblocks, filesystem=fs,
     )
     if ranks_mat is not None:
-        slim = _attach_ranks(slim, ranks_mat, config.broadcast_budget)
+        slim = _attach_ranks(slim, ranks_mat)
     max_id = slim.max(order_col)
     if max_id is None:  # empty corpus: manifest only
         manifest = RunManifest(
@@ -827,7 +819,7 @@ def run_corpus_pipeline(
         override_num_blocks=nblocks, filesystem=fs,
     )
     if ranks_mat is not None:
-        full = _attach_ranks(full, ranks_mat, config.broadcast_budget)
+        full = _attach_ranks(full, ranks_mat)
 
     def bucketed(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -980,24 +972,20 @@ def sync_corpus_windows(
         ds = rd.read_parquet(wdir, columns=[id_col, text_col])
         surv1 = incremental_dedup(
             ds, fsio.join(out_dir, "_exact_state"), w,
-            id_col=id_col, text_col=text_col,
-            broadcast_budget=config.broadcast_budget, filesystem=fs,
+            id_col=id_col, text_col=text_col, filesystem=fs,
         )
         docs1 = semi_join_filter(
             rd.read_parquet(wdir, columns=[id_col, text_col]),
             surv1, id_col, keys_col=id_col,
-            broadcast_budget=config.broadcast_budget,
         ).materialize()
         surv2 = incremental_minhash_dedup(
             docs1, fsio.join(out_dir, "_minhash_state"), w,
             id_col=id_col, text_col=text_col,
             num_perm=config.num_perm, bands=config.bands,
-            ngram=config.ngram,
-            broadcast_budget=config.broadcast_budget, filesystem=fs,
+            ngram=config.ngram, filesystem=fs,
         )
         clean = semi_join_filter(
             docs1, surv2, id_col, keys_col=id_col,
-            broadcast_budget=config.broadcast_budget,
         ).map_batches(_prep_fn(config), batch_format="pyarrow").materialize()
 
         run_sig = f"{wsig}:{cfg_hash}:{num_partitions}:{config.pack_budget}"

@@ -19,3 +19,18 @@ def ray_session():
     )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def plan_budgets(monkeypatch):
+    """Patch the plan's byte budgets for one test, e.g.
+    ``plan_budgets(broadcast=0)`` forces every non-empty broadcast side
+    onto its join path (marc2rdf_ray/ops/plan.py)."""
+    from marc2rdf_ray.ops import plan
+
+    def patch(**budgets):
+        for kind, nbytes in budgets.items():
+            assert kind in plan.BUDGETS, kind
+            monkeypatch.setitem(plan.BUDGETS, kind, nbytes)
+
+    return patch

@@ -373,3 +373,38 @@ def test_audit_partitions_input_exactly(ray_session, tmp_path):
     mt = os.path.getmtime(audit_dir + ".complete")
     run_corpus_pipeline(docs, out, _cfg(audit=True))
     assert os.path.getmtime(audit_dir + ".complete") == mt
+
+
+def test_broadcast_and_join_plans_write_identical_corpus(
+    ray_session, tmp_path, plan_budgets, caplog
+):
+    """Every broadcast-or-join choice in the corpus chain, the drop-list
+    anti-join and the shuffle-rank attach included, writes the same
+    corpus on either path -- which is why the broadcast budget is not a
+    stage-cache input."""
+    import logging
+
+    docs = _mk_docs(str(tmp_path / "docs"))
+    cfg = _cfg(shuffle_order=True)
+
+    def paths(op):
+        return {
+            r.getMessage().rsplit("path=", 1)[1] for r in caplog.records
+            if r.name == "marc2rdf_ray.plan"
+            and f"op={op} " in r.getMessage()
+        }
+
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.plan"):
+        m1 = run_corpus_pipeline(docs, str(tmp_path / "bcast"), cfg)
+        want = _read_out(str(tmp_path / "bcast"))
+        assert paths("anti_join_filter") == {"broadcast"}
+        assert paths("corpus._attach_ranks") == {"broadcast"}
+        caplog.clear()
+        plan_budgets(broadcast=0)
+        m2 = run_corpus_pipeline(docs, str(tmp_path / "join"), cfg)
+        got = _read_out(str(tmp_path / "join"))
+        assert paths("anti_join_filter") == {"join"}
+        assert paths("corpus._attach_ranks") == {"join"}
+    assert m2.partition_counts == m1.partition_counts
+    key = [("doc_id", "ascending")]
+    assert got.sort_by(key).equals(want.sort_by(key))

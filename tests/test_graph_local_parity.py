@@ -1,8 +1,8 @@
 """Local fast paths == distributed rounds, bit for bit, for the
 eighth-session graph ops (boruvka_msf, greedy_matching,
-temporal_reachability).  budget=0 forces every distributed branch --
-including the join-based over-budget paths -- so this doubles as their
-coverage."""
+temporal_reachability).  Zero plan budgets (ops/plan.py) force every
+distributed branch -- including the join-based over-budget paths -- so
+this doubles as their coverage."""
 
 import hashlib
 
@@ -44,32 +44,34 @@ def _rows(ds):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_boruvka_local_equals_distributed():
+def test_boruvka_local_equals_distributed(plan_budgets):
     from marc2rdf_ray.ops.graph import boruvka_msf
 
     edges, nodes = _graph(120)
     local = boruvka_msf(edges, nodes, rounds=2)
     edges2, nodes2 = _graph(120)
-    # local_budget=0 forces the distributed rounds while keeping the
-    # broadcast attach (the normal at-scale shape); the full join path
-    # is exercised separately by matching/temporal budget=0 below.
-    dist = boruvka_msf(edges2, nodes2, rounds=2, local_budget=0)
+    # a zero one_task_slim budget forces the distributed rounds while
+    # keeping the broadcast attach (the normal at-scale shape); the full
+    # join path is exercised separately by matching/temporal below.
+    plan_budgets(one_task_slim=0)
+    dist = boruvka_msf(edges2, nodes2, rounds=2)
     assert _rows(local) == _rows(dist)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_matching_local_equals_distributed():
+def test_matching_local_equals_distributed(plan_budgets):
     from marc2rdf_ray.ops.graph import greedy_matching
 
     edges, _ = _graph(120)
     local = greedy_matching(edges, rounds=3)
     edges2, _ = _graph(120)
-    dist = greedy_matching(edges2, rounds=3, budget=0)
+    plan_budgets(one_task_slim=0, broadcast=0)
+    dist = greedy_matching(edges2, rounds=3)
     assert _rows(local) == _rows(dist)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_temporal_local_equals_distributed():
+def test_temporal_local_equals_distributed(plan_budgets):
     import ray.data as rd
 
     from marc2rdf_ray.ops.graph import temporal_reachability
@@ -93,7 +95,8 @@ def test_temporal_local_equals_distributed():
         ),
         batch_format="pyarrow",
     )
-    dist = temporal_reachability(edges2, seeds2, rounds=3, budget=0)
+    plan_budgets(one_task_slim=0, broadcast=0)
+    dist = temporal_reachability(edges2, seeds2, rounds=3)
     assert _rows(local) == _rows(dist)
 
 
@@ -147,7 +150,7 @@ def test_weighted_pagerank_local_matches_distributed():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_stress_centrality_local_matches_distributed():
+def test_stress_centrality_local_matches_distributed(plan_budgets):
     import hashlib
 
     import pyarrow as pa
@@ -192,11 +195,10 @@ def test_stress_centrality_local_matches_distributed():
         for r in stress_centrality_sampled(e1, s1, depth=3).take_all()
     }
     e2, s2 = mk()
+    plan_budgets(one_task=0)
     dist = {
         r["node"]: r["stress"]
-        for r in stress_centrality_sampled(
-            e2, s2, depth=3, local_budget=0
-        ).take_all()
+        for r in stress_centrality_sampled(e2, s2, depth=3).take_all()
     }
     assert loc == dist
     assert loc and all(v > 0 for v in loc.values())
@@ -204,7 +206,7 @@ def test_stress_centrality_local_matches_distributed():
 
 @pytest.mark.usefixtures("ray_session")
 def test_local_fast_paths_raise_on_wide_ids():
-    """The budget-gated one-task fast paths must refuse ids >= 2^32
+    """The one-task fast paths must refuse ids >= 2^32
     exactly like the distributed canon() does -- silent (src<<32)|dst
     aliasing there would break the documented bit-parity."""
     import pyarrow as pa

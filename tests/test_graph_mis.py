@@ -7,7 +7,7 @@ import pytest
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_mis_independent_and_maximal():
+def test_mis_independent_and_maximal(plan_budgets):
     import ray.data as rd
 
     from marc2rdf_ray.ops.graph import maximal_independent_set
@@ -21,56 +21,30 @@ def test_mis_independent_and_maximal():
             ) % n
             src.append(i)
             dst.append(t)
-    edges = rd.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
-            }
+    def mk():
+        return rd.from_arrow(
+            pa.table(
+                {
+                    "src": pa.array(src, pa.int64()),
+                    "dst": pa.array(dst, pa.int64()),
+                }
+            )
         )
-    )
-    mis = {
-        r["node"] for r in maximal_independent_set(edges).take_all()
-    }
+
+    def mis_of(**kw):
+        return {
+            r["node"] for r in maximal_independent_set(mk(), **kw).take_all()
+        }
+
+    mis = mis_of()
+    # fixed-round prefixes (the oracle's mode), one-task path
+    local_rounds = {r_: mis_of(rounds=r_) for r_ in (1, 3)}
     # distributed rounds (forced) must agree bit-for-bit at fixpoint
-    edges2 = rd.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
-            }
-        )
-    )
-    mis_dist = {
-        r["node"]
-        for r in maximal_independent_set(
-            edges2, local_budget=0
-        ).take_all()
-    }
-    assert mis == mis_dist
-    # fixed-round prefixes agree too (the oracle's mode)
-    for r_ in (1, 3):
-        e3 = rd.from_arrow(
-            pa.table(
-                {
-                    "src": pa.array(src, pa.int64()),
-                    "dst": pa.array(dst, pa.int64()),
-                }
-            )
-        )
-        e4 = rd.from_arrow(
-            pa.table(
-                {
-                    "src": pa.array(src, pa.int64()),
-                    "dst": pa.array(dst, pa.int64()),
-                }
-            )
-        )
-        a = {x["node"] for x in maximal_independent_set(
-            e3, rounds=r_).take_all()}
-        b = {x["node"] for x in maximal_independent_set(
-            e4, rounds=r_, local_budget=0).take_all()}
-        assert a == b, r_
+    plan_budgets(one_task=0)
+    assert mis == mis_of()
+    # fixed-round prefixes agree too
+    for r_, a in local_rounds.items():
+        assert a == mis_of(rounds=r_), r_
     adj: dict = {}
     nodes = set()
     for s, d in zip(src, dst):

@@ -26,7 +26,7 @@ def _walks_map(ds):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_node2vec_paths_parity_and_validity():
+def test_node2vec_paths_parity_and_validity(plan_budgets):
     import ray.data as rd
 
     from marc2rdf_ray.ops.graph import node2vec_walks
@@ -42,7 +42,8 @@ def test_node2vec_paths_parity_and_validity():
         )
     )
     fast = _walks_map(node2vec_walks(edges, steps=3))
-    slow = _walks_map(node2vec_walks(edges, steps=3, broadcast_budget=0))
+    plan_budgets(broadcast=0)
+    slow = _walks_map(node2vec_walks(edges, steps=3))
     assert fast == slow
     assert len(fast) > 0
 

@@ -25,7 +25,7 @@ def _labels(ds):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scc_two_component_chain():
+def test_scc_two_component_chain(plan_budgets):
     from marc2rdf_ray.ops.graph import scc, scc_local
 
     # 0 -> {1<->2} -> {3<->4}: two SCCs connected one-way plus a tendril;
@@ -33,13 +33,14 @@ def test_scc_two_component_chain():
     src = [0, 1, 2, 2, 3, 4]
     dst = [1, 2, 1, 3, 4, 3]
     want = {0: 0, 1: 1, 2: 1, 3: 3, 4: 3}
-    # local_core_budget=0 forces the full color/backward rounds
-    assert _labels(scc(_ds(src, dst), local_core_budget=0)) == want
     assert _labels(scc_local(_ds(src, dst))) == want
+    # a zero one_task budget forces the full color/backward rounds
+    plan_budgets(one_task=0)
+    assert _labels(scc(_ds(src, dst))) == want
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scc_distributed_matches_local_on_md5_graph():
+def test_scc_distributed_matches_local_on_md5_graph(plan_budgets):
     from marc2rdf_ray.ops.graph import scc, scc_local
 
     n = 150
@@ -53,8 +54,9 @@ def test_scc_distributed_matches_local_on_md5_graph():
                 src.append(i)
                 dst.append(t)
     fast = _labels(scc_local(_ds(src, dst)))
-    slow = _labels(scc(_ds(src, dst), local_core_budget=0))
     hybrid = _labels(scc(_ds(src, dst)))  # trim + one-task Tarjan core
+    plan_budgets(one_task=0)
+    slow = _labels(scc(_ds(src, dst)))
     assert fast == slow
     assert fast == hybrid
     # sanity: at least one nontrivial component in this corpus
@@ -64,7 +66,7 @@ def test_scc_distributed_matches_local_on_md5_graph():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scc_deep_cycle_bounded_rounds():
+def test_scc_deep_cycle_bounded_rounds(plan_budgets):
     """A 2048-cycle with in-tree tendrils, forced-distributed with a
     round cap FAR under the diameter: without pointer-jump shortcutting
     the color phase needs ~2048 relax rounds and raises; with it the
@@ -82,16 +84,15 @@ def test_scc_deep_cycle_bounded_rounds():
         src += [a, b]
         dst += [b, i]
     fast = _labels(scc_local(_ds(src, dst)))
-    slow = _labels(
-        scc(_ds(src, dst), local_core_budget=0, max_inner=40,
-            trim_min_frac=0.5)
-    )
+    plan_budgets(one_task=0)
+    slow = _labels(scc(_ds(src, dst), max_inner=40, trim_min_frac=0.5))
     assert fast == slow
     assert slow[0] == 0 and slow[1000] == 0  # one big cycle component
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scc_converges_on_xor_when_sum_fingerprint_collides(monkeypatch):
+def test_scc_converges_on_xor_when_sum_fingerprint_collides(monkeypatch,
+                                                          plan_budgets):
     """The color rounds stop only when the wrap-sum AND the hashed-xor
     fingerprints repeat: with the sum forced to collide on every round
     (as a mod-2^64 wrap could), the labels still match local Tarjan."""
@@ -109,5 +110,6 @@ def test_scc_converges_on_xor_when_sum_fingerprint_collides(monkeypatch):
     src = list(range(n)) + [n, n + 1, n + 2, 5]
     dst = [(i + 1) % n for i in range(n)] + [n + 1, n + 2, n, n]
     want = _labels(scc_local(_ds(src, dst)))
-    assert _labels(scc(_ds(src, dst), local_core_budget=0)) == want
+    plan_budgets(one_task=0)
+    assert _labels(scc(_ds(src, dst))) == want
     assert len(set(want.values())) == 2

@@ -723,10 +723,10 @@ class TestAdviceFixes:
             assert pd.isna(got[lid])
 
     def test_jaccard_join_fallback_matches_broadcast(
-        self, ray_session, monkeypatch
+        self, ray_session, plan_budgets
     ):
         """VERDICT r2 #2: the distributed two-join text attach must equal
-        the byte-budgeted broadcast path exactly."""
+        the broadcast path exactly."""
         import pandas as pd
 
         import marc2rdf_ray.entry_queries as eq
@@ -741,10 +741,7 @@ class TestAdviceFixes:
             )
 
         want = frame(eq.dedup_jaccard_verified(sf))
-        orig = eq._small_side
-        monkeypatch.setattr(  # force the over-budget join fallback
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the over-budget join fallbacks
         got = frame(eq.dedup_jaccard_verified(sf))
         pd.testing.assert_frame_equal(got, want)
 
@@ -844,8 +841,9 @@ class TestAdviceFixes:
         )
         assert not slim_f["rid_match"].equals(slim["rid_match"])
 
-    def test_asof_wide_join_fallback_matches_broadcast(self, ray_session):
-        """Forcing broadcast_budget=0 must route the payload gather
+    def test_asof_wide_join_fallback_matches_broadcast(self, ray_session,
+                                                       plan_budgets):
+        """Forcing a zero broadcast budget must route the payload gather
         through the distributed hash joins and produce identical rows."""
         import random
 
@@ -874,9 +872,9 @@ class TestAdviceFixes:
         bcast = asof_join_wide(
             rd.from_items(left), rd.from_items(right), **kw
         ).to_pandas().sort_values("lid").reset_index(drop=True)
+        plan_budgets(broadcast=0)
         joined = asof_join_wide(
-            rd.from_items(left), rd.from_items(right),
-            broadcast_budget=0, **kw
+            rd.from_items(left), rd.from_items(right), **kw
         ).to_pandas().sort_values("lid").reset_index(drop=True)
         pd.testing.assert_frame_equal(
             joined[bcast.columns.tolist()], bcast, check_dtype=False
@@ -1286,7 +1284,8 @@ class TestTfidfTopTerms:
             want += [(i, w, c, -neg) for neg, w, c in rows]
         return sorted(want)
 
-    def test_broadcast_and_join_paths_match_serial(self, ray_session):
+    def test_broadcast_and_join_paths_match_serial(self, ray_session,
+                                                   plan_budgets):
         import pyarrow as pa
         import ray.data as rd
 
@@ -1299,17 +1298,17 @@ class TestTfidfTopTerms:
         )
         want = self._serial(texts)
         for budget in (256 << 20, 1):  # broadcast path, then join fallback
+            plan_budgets(broadcast=budget)
             out = tfidf_top_terms(
-                rd.from_arrow(tab).repartition(5),
-                k=3,
-                broadcast_budget=budget,
+                rd.from_arrow(tab).repartition(5), k=3
             ).to_pandas()
             got = sorted(map(tuple, out.itertuples(index=False, name=None)))
             assert got == want, f"budget={budget}"
 
 
 class TestTriangleCount:
-    def test_matches_bruteforce_both_orientations(self, ray_session):
+    def test_matches_bruteforce_both_orientations(self, ray_session,
+                                                  plan_budgets):
         import itertools
 
         import numpy as np
@@ -1338,9 +1337,8 @@ class TestTriangleCount:
         ds = rd.from_arrow(tab).repartition(6)
         assert triangle_count(ds, num_buckets=8) == want
         # degree table over budget -> id-rank orientation, same count
-        assert (
-            triangle_count(ds, num_buckets=8, degree_budget=0) == want
-        )
+        plan_budgets(broadcast=0)
+        assert triangle_count(ds, num_buckets=8) == want
 
 
 class TestRedact:
@@ -1718,7 +1716,7 @@ class TestIncrementalDedup:
             )
         )
 
-    def test_cross_window_state(self, ray_session, tmp_path):
+    def test_cross_window_state(self, ray_session, tmp_path, plan_budgets):
         import os
 
         from marc2rdf_ray.ops.dedup import incremental_dedup
@@ -1742,9 +1740,9 @@ class TestIncrementalDedup:
         # crashed window (dir without _done marker) is ignored as state
         os.makedirs(os.path.join(state, "win=crashed"), exist_ok=True)
         # window 3 via the JOIN fallback path (budget 0): dups vs w1+w2
+        plan_budgets(broadcast=0)
         k3 = incremental_dedup(
             self._win([20, 21, 22], ["cc", "dd", "aa"]), state, "w3",
-            broadcast_budget=0,
         ).to_pandas()
         assert sorted(k3["doc_id"]) == [21]
 
@@ -2720,15 +2718,15 @@ class TestDecontaminateHashed:
         out = decontaminate_hashed(docs, spans, width=6).to_pandas()
         assert sorted(out["doc_id"]) == [2, 4]
 
-    def test_hashed_join_fallback_same_result(self, ray_session):
+    def test_hashed_join_fallback_same_result(self, ray_session,
+                                              plan_budgets):
         """A zero broadcast budget forces the distributed-join path for
         both membership and the final drop -- result identical."""
         from marc2rdf_ray.ops.corpus import decontaminate_hashed
 
         docs, spans = self._data()
-        out = decontaminate_hashed(
-            docs, spans, width=6, broadcast_budget=0
-        ).to_pandas()
+        plan_budgets(broadcast=0)
+        out = decontaminate_hashed(docs, spans, width=6).to_pandas()
         assert sorted(out["doc_id"]) == [2, 4]
 
     def test_hashed_empty_blocklist_keeps_all(self, ray_session):
@@ -2944,12 +2942,11 @@ class TestKCore:
         fix = kcore(self._edges(), k=2, rounds=None).to_pandas()
         assert sorted(fix["node"]) == [0, 1, 2, 3]
 
-    def test_kcore_join_fallback(self, ray_session):
+    def test_kcore_join_fallback(self, ray_session, plan_budgets):
         from marc2rdf_ray.ops.graph import kcore
 
-        out = kcore(
-            self._edges(), k=3, rounds=None, broadcast_budget=0
-        ).to_pandas()
+        plan_budgets(broadcast=0)
+        out = kcore(self._edges(), k=3, rounds=None).to_pandas()
         assert sorted(out["node"]) == [0, 1, 2, 3]
 
     def test_kcore_everything_peels(self, ray_session):
@@ -3061,7 +3058,8 @@ class TestLocalCC:
         want = dict(zip(dist["node"], dist["root"]))
         assert got == want
 
-    def test_local_cc_over_budget_returns_none(self, ray_session):
+    def test_local_cc_over_budget_returns_none(self, ray_session,
+                                               plan_budgets):
         import pyarrow as pa
         import ray.data as rd
 
@@ -3077,7 +3075,8 @@ class TestLocalCC:
                 }
             )
         )
-        assert connected_components_local(edges, budget=0) is None
+        plan_budgets(one_task_cc=0)
+        assert connected_components_local(edges) is None
 
     def test_local_cc_string_nodes(self, ray_session):
         import pyarrow as pa
@@ -3249,15 +3248,16 @@ class TestPagerankLocal:
         )
         assert loc["rank"].tolist() == dist["rank"].tolist()
 
-    def test_over_budget_returns_none(self, ray_session):
+    def test_over_budget_returns_none(self, ray_session, plan_budgets):
         from marc2rdf_ray.ops.graph import pagerank_local
 
         edges, nodes = self._graph()
-        assert pagerank_local(edges, nodes, budget=1) is None
+        plan_budgets(one_task=1)
+        assert pagerank_local(edges, nodes) is None
 
 
 class TestHitsLocalParity:
-    def test_bit_identical_paths(self, ray_session):
+    def test_bit_identical_paths(self, ray_session, plan_budgets):
         import numpy as np
         import ray.data as rd
 
@@ -3275,8 +3275,9 @@ class TestHitsLocalParity:
             hits(edges, nodes, rounds=2)
             .to_pandas().sort_values("node").reset_index(drop=True)
         )
+        plan_budgets(one_task=0)
         dist = (
-            hits(edges, nodes, rounds=2, local_budget=0)
+            hits(edges, nodes, rounds=2)
             .to_pandas().sort_values("node").reset_index(drop=True)
         )
         assert loc["node"].tolist() == dist["node"].tolist()
@@ -4011,7 +4012,7 @@ class TestMaxConcurrency:
 
 
 class TestClusteringCoefLocalParity:
-    def test_local_equals_distributed(self, ray_session):
+    def test_local_equals_distributed(self, ray_session, plan_budgets):
         import ray.data as rd
 
         from marc2rdf_ray.ops.graph import clustering_coefficient
@@ -4026,8 +4027,9 @@ class TestClusteringCoefLocalParity:
             clustering_coefficient(ds)
             .to_pandas().sort_values("node").reset_index(drop=True)
         )
+        plan_budgets(one_task_wedges=0)
         b = (
-            clustering_coefficient(ds, local_budget=0)
+            clustering_coefficient(ds)
             .to_pandas().sort_values("node").reset_index(drop=True)
         )
         assert a.equals(b)
@@ -4362,92 +4364,71 @@ class TestTpchShapedJoins:
         b = b.to_pandas().sort_values(keys).reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
 
-    def test_q5_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q5_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q5_local_supplier_volume(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q5_local_supplier_volume(sf)
         self._frames_equal(want, got, ["n_name"])
 
-    def test_q4_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q4_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q4_order_priority(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q4_order_priority(sf)
         self._frames_equal(want, got, ["o_orderpriority"])
 
-    def test_q17_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q17_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import pandas as pd
 
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q17_small_quantity_revenue(sf).to_pandas()
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q17_small_quantity_revenue(sf).to_pandas()
         pd.testing.assert_frame_equal(got, want)
         assert int(want["revenue_cents"].iloc[0]) > 0
 
-    def test_q7_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q7_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q7_volume_shipping(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q7_volume_shipping(sf)
         self._frames_equal(
             want, got, ["supp_region", "cust_region", "l_year"]
         )
 
-    def test_q10_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q10_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q10_returned_items(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q10_returned_items(sf)
         self._frames_equal(want, got, ["c_custkey"])
 
-    def test_q18_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q18_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q18_large_volume_customers(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q18_large_volume_customers(sf)
         self._frames_equal(want, got, ["o_orderkey"])
 
-    def test_q13_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q13_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q13_customer_distribution(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q13_customer_distribution(sf)
         self._frames_equal(want, got, ["c_count"])
 
@@ -4729,7 +4710,8 @@ class TestSetsimJoinExact:
 
 
 class TestSetsimScalePathParity:
-    def test_distributed_verify_matches_broadcast(self, ray_session):
+    def test_distributed_verify_matches_broadcast(self, ray_session,
+                                                  plan_budgets):
         import numpy as np
         import pandas as pd
         import ray.data as rd
@@ -4745,10 +4727,11 @@ class TestSetsimScalePathParity:
         ]
 
         def frame(budget):
+            plan_budgets(broadcast=budget)
             return (
                 setsim_join_exact(
                     rd.from_items(rows).repartition(3),
-                    threshold_micro=300_000, broadcast_budget=budget,
+                    threshold_micro=300_000,
                 )
                 .to_pandas()
                 .sort_values(["a", "b"])
@@ -5006,39 +4989,30 @@ class TestNewTpchShapedFallbacks:
         b = b.sort_values(keys).reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
 
-    def test_q12_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q12_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q12_priority_by_delay(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q12_priority_by_delay(sf)
         self._frames_equal(want, got, ["bucket"])
 
-    def test_q9_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q9_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q9_product_profit(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q9_product_profit(sf)
         self._frames_equal(want, got, ["n_name", "o_year"])
 
-    def test_q21_fallback_matches_broadcast(self, ray_session, monkeypatch):
+    def test_q21_fallback_matches_broadcast(self, ray_session, plan_budgets):
         import marc2rdf_ray.entry_queries as eq
 
         sf = "/root/testdata/sf0.001"
         want = eq.q21_waiting_suppliers(sf)
-        orig = eq._small_side
-        monkeypatch.setattr(
-            eq, "_small_side", lambda ds, limit_bytes=0: orig(ds, 1)
-        )
+        plan_budgets(broadcast=1)  # force the join fallbacks
         got = eq.q21_waiting_suppliers(sf)
         self._frames_equal(want, got, ["s_name"])
 
@@ -5339,9 +5313,12 @@ class TestKTruss:
         assert (3, 4) in got and (4, 5) in got and (5, 6) not in got
         assert len(got) == 9
 
-    def test_distributed_rounds_match_local(self, ray_session):
-        """local_budget=0 forces the distributed per-round support path;
-        output must be identical to the one-task fast path."""
+    def test_distributed_rounds_match_local(self, ray_session,
+                                            plan_budgets):
+        """A zero one_task_python budget forces the distributed per-round
+        support path; output must be identical to the one-task fast
+        path."""
+        from marc2rdf_ray.ops import plan
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
@@ -5357,26 +5334,27 @@ class TestKTruss:
                  "dst": pa.array(dst, pa.int64())}
             )
         )
+        local = plan.BUDGETS["one_task_python"]
         for k, rounds in ((4, 2), (5, None)):
+            plan_budgets(one_task_python=local)
             loc = ktruss(ds, k=k, rounds=rounds).to_pandas()
-            dist = ktruss(
-                ds, k=k, rounds=rounds, local_budget=0
-            ).to_pandas()
+            plan_budgets(one_task_python=0)
+            dist = ktruss(ds, k=k, rounds=rounds).to_pandas()
             assert len(loc) == len(dist)
             if len(loc):
                 loc = loc.sort_values(["u", "v"]).reset_index(drop=True)
                 dist = dist.sort_values(["u", "v"]).reset_index(drop=True)
                 assert loc.equals(dist)
 
-    def test_strict_raises_on_truncation(self, ray_session):
+    def test_strict_raises_on_truncation(self, ray_session, plan_budgets):
         import pytest as _pytest
 
         from marc2rdf_ray.ops.graph import ktruss
 
+        plan_budgets(one_task_python=0)
         with _pytest.raises(ValueError, match="max_out"):
             ktruss(
-                self._edges(), k=3, rounds=1, local_budget=0,
-                max_out=1, strict=True,
+                self._edges(), k=3, rounds=1, max_out=1, strict=True,
             ).to_pandas()
 
     def test_k_below_3_rejected(self, ray_session):
@@ -5505,7 +5483,8 @@ class TestPQTopk:
 
 
 class TestKTrussBruteReference:
-    def test_matches_independent_set_based_reference(self, ray_session):
+    def test_matches_independent_set_based_reference(self, ray_session,
+                                                     plan_budgets):
         """Distributed ktruss vs an independent adjacency-set reference
         on random graphs (both fixed-round and fixpoint)."""
         import numpy as np
@@ -5541,8 +5520,8 @@ class TestKTrussBruteReference:
                           "dst": pa.array(dst, pa.int64())})
             )
             for budget in (8 << 20, 0):  # local path and distributed
-                out = ktruss(ds, k=k, rounds=rounds,
-                             local_budget=budget).to_pandas()
+                plan_budgets(one_task_python=budget)
+                out = ktruss(ds, k=k, rounds=rounds).to_pandas()
                 got = (sorted(map(tuple, out[["u", "v"]].values.tolist()))
                        if len(out) else [])
                 assert got == reference(src, dst, k, rounds), (
@@ -5579,7 +5558,7 @@ class TestRandomWalks:
         pick = int(hashlib.md5(b"0:1").hexdigest()[:8], 16) % 2
         assert out.loc[0, "s1"] == [1, 2][pick]
 
-    def test_join_path_matches_broadcast(self, ray_session):
+    def test_join_path_matches_broadcast(self, ray_session, plan_budgets):
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
@@ -5595,7 +5574,8 @@ class TestRandomWalks:
         )
         a = random_walks(ds, steps=2).to_pandas().sort_values(
             "start").reset_index(drop=True)
-        b = random_walks(ds, steps=2, broadcast_budget=0).to_pandas(
+        plan_budgets(broadcast=0)
+        b = random_walks(ds, steps=2).to_pandas(
         ).sort_values("start").reset_index(drop=True)
         assert len(a) == len(b)
         for c in a.columns:
@@ -5616,7 +5596,8 @@ class TestIncrementalMinhashDedup:
             )
         )
 
-    def test_cross_window_near_dup_state(self, ray_session, tmp_path):
+    def test_cross_window_near_dup_state(self, ray_session, tmp_path,
+                                         plan_budgets):
         import os
 
         from marc2rdf_ray.ops.dedup import incremental_minhash_dedup
@@ -5663,10 +5644,11 @@ class TestIncrementalMinhashDedup:
         os.makedirs(os.path.join(state, "win=crashed"), exist_ok=True)
         # near copy of the DROPPED doc 10 must SURVIVE (state keeps only
         # the corpus you kept), via the join fallback path (budget 0)
+        plan_budgets(broadcast=0)
         k3 = sorted(
             r["doc_id"] for r in incremental_minhash_dedup(
                 self._win([20, 21], [doc(7, drop_last=True), doc(9)]),
-                state, "w3", broadcast_budget=0,
+                state, "w3",
             ).take_all()
         )
         assert k3 == [21]  # 20 is a near copy of kept doc 7's twin 11

@@ -1411,3 +1411,42 @@ def test_triples_hook_user_script_replacement(ray_session, tmp_path):
     assert run_kg_pipeline(pages, out, cfg).triple_count == m1.triple_count
     cfg2 = PipelineConfig(triples_hook=add_marker, triples_hook_tag="m-v2")
     assert cfg2.ruleset_hash() != cfg.ruleset_hash()
+
+
+def test_sameas_join_fallback_graph_identical(
+    ray_session, pages_dir, tmp_path, plan_budgets, caplog
+):
+    """The flagship sameAs stage's distributed-join branch (canon side
+    over the plan's broadcast budget) builds the same graph, byte for
+    byte, as the broadcast branch every default run takes."""
+    import hashlib
+    import logging
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    def digest(out):
+        h = hashlib.sha256()
+        for d, body in _graph_bytes(out).items():
+            h.update(d.encode())
+            h.update(body)
+        return h.hexdigest()
+
+    def sameas_paths():
+        return [
+            r.getMessage().rsplit("path=", 1)[1] for r in caplog.records
+            if r.name == "marc2rdf_ray.plan"
+            and "op=sameas_by_shared_key " in r.getMessage()
+        ]
+
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.plan"):
+        base = str(tmp_path / "broadcast")
+        m1 = run_kg_pipeline(pages_dir, base, PipelineConfig())
+        assert sameas_paths() == ["broadcast"]
+        caplog.clear()
+        plan_budgets(broadcast=0)
+        joined = str(tmp_path / "join")
+        m2 = run_kg_pipeline(pages_dir, joined, PipelineConfig())
+        assert sameas_paths() == ["join"]
+    assert m2.triple_count == m1.triple_count
+    assert m2.partition_counts == m1.partition_counts
+    assert digest(joined) == digest(base)

@@ -370,15 +370,16 @@ class TestSpanDedup:
         # the copies are unique so the tail survives
         assert got[2].startswith("tail2a")
 
-    def test_join_path_parity(self, ray_session):
+    def test_join_path_parity(self, ray_session, plan_budgets):
         from marc2rdf_ray.ops.corpus import dedup_duplicate_spans
 
         a = (
             dedup_duplicate_spans(self._docs(), width=6)
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
+        plan_budgets(broadcast=0)
         b = (
-            dedup_duplicate_spans(self._docs(), width=6, broadcast_budget=0)
+            dedup_duplicate_spans(self._docs(), width=6)
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         assert a.equals(b)

@@ -48,7 +48,7 @@ def test_scd2_intervals_hand_computed():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_condensation_paths_agree():
+def test_condensation_paths_agree(plan_budgets):
     import ray.data as rd
 
     from marc2rdf_ray.ops.graph import scc_condensation, scc_local
@@ -67,6 +67,7 @@ def test_condensation_paths_agree():
     labels = scc_local(ds).materialize()
 
     def got(budget):
+        plan_budgets(broadcast=budget)
         ds2 = rd.from_arrow(
             pa.table(
                 {
@@ -77,9 +78,7 @@ def test_condensation_paths_agree():
         )
         return {
             (r["src_scc"], r["dst_scc"]): r["n_edges"]
-            for r in scc_condensation(
-                ds2, labels, broadcast_budget=budget
-            ).take_all()
+            for r in scc_condensation(ds2, labels).take_all()
         }
 
     # distinct cross edges: 2->3, 2->4 => (scc 1 -> scc 3) with n=2

@@ -1,7 +1,7 @@
 """Forced-distributed SCC at deep-tendril md5-graph scale (round-5 task #2
-acceptance): build the BASELINE.md md5 graph with Ray, run scc with
-local_core_budget=0 (no one-task Tarjan escape hatch), and compare label
-partition against scc_local.
+acceptance): build the BASELINE.md md5 graph with Ray, run scc with the
+plan's one_task budget at 0 (no one-task Tarjan escape hatch), and
+compare its label partition against scc_local with that budget at 8 GiB.
 
 Usage: python tools/bench_scc_distributed.py [n_nodes] [num_cpus]
 """
@@ -49,6 +49,7 @@ def main() -> None:
 
     import ray.data as rd
 
+    from marc2rdf_ray.ops import plan
     from marc2rdf_ray.ops.graph import scc, scc_local
 
     blocks = max(8, ncpu * 2)
@@ -59,14 +60,16 @@ def main() -> None:
           f"{edges.size_bytes() >> 20} MB", flush=True)
 
     t0 = time.time()
-    dist = scc(edges, local_core_budget=0, max_inner=60)
+    plan.BUDGETS["one_task"] = 0
+    dist = scc(edges, max_inner=60)
     lab_d = {r["node"]: r["scc"] for r in dist.take_all()}
     t_dist = time.time() - t0
     print(f"distributed scc: {t_dist:.1f}s, {len(lab_d)} nodes labeled",
           flush=True)
 
     t0 = time.time()
-    loc = scc_local(edges, budget=8 << 30)
+    plan.BUDGETS["one_task"] = 8 << 30
+    loc = scc_local(edges)
     lab_l = {r["node"]: r["scc"] for r in loc.take_all()}
     t_loc = time.time() - t0
     print(f"local tarjan: {t_loc:.1f}s, {len(lab_l)} nodes", flush=True)
