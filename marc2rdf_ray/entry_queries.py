@@ -374,7 +374,8 @@ def customers_without_big_orders(sf_dir: str):
     import ray
 
     big = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    ktab, _ = plan.small_side("customers_without_big_orders", 
+    ktab, _ = plan.small_side(
+        "customers_without_big_orders",
         big.map_batches(
             lambda b: b.filter(pc.greater(b["o_totalprice"], 400000.0)).select(
                 ["o_custkey"]

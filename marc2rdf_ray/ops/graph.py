@@ -6124,9 +6124,7 @@ def scc_condensation(edges, labels_ds):
 
         tagged = simple.map_batches(super_edges, batch_format="pyarrow")
     else:
-        nparts = max(
-            2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-        )
+        nparts = plan.join_partitions()
         ls = lab.map_batches(
             lambda b: pa.table({"_n1": b["node"], "src_scc": b["scc"]}),
             batch_format="pyarrow",

@@ -288,11 +288,7 @@ def asof_join_wide(
     """
     if num_partitions is None:
         try:
-            import ray
-
-            num_partitions = max(
-                2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-            )
+            num_partitions = plan.join_partitions()
         except Exception:  # pragma: no cover
             num_partitions = 8
 
@@ -515,9 +511,7 @@ def skew_salted_join(
 
     if num_partitions is None:
         try:
-            num_partitions = max(
-                2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-            )
+            num_partitions = plan.join_partitions()
         except Exception:
             num_partitions = 8
 

@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import plan
+
 # out-of-band marker for a rolled-up key slot while rows are in flight;
 # \x00 sorts before any printable key and cannot collide with real data
 # in text keys (validated per batch -- fail loud, not silently wrong).
@@ -568,11 +570,7 @@ def snapshot_diff(
 
     if num_partitions is None:
         try:
-            import ray
-
-            num_partitions = max(
-                2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-            )
+            num_partitions = plan.join_partitions()
         except Exception:
             num_partitions = 8
 

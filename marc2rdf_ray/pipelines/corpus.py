@@ -423,9 +423,7 @@ def _attach_ranks(ds, ranks_mat):
 
     from ..ops.dedup import normalize_join_blocks
 
-    nparts = max(
-        2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    )
+    nparts = plan.join_partitions()
     return normalize_join_blocks(ds, nparts).join(
         normalize_join_blocks(ranks_mat, nparts),
         join_type="inner", num_partitions=nparts, on=("doc_id",),
