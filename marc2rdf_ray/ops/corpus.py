@@ -1027,9 +1027,7 @@ def decontaminate_hashed(
         )
 
     hits = distinct_first(hits, id_col)
-    return anti_join_filter(
-        ds, hits, id_col
-    )
+    return anti_join_filter(ds, hits, id_col)
 
 
 def bm25_topk(
@@ -1247,7 +1245,7 @@ def dedup_duplicate_spans(
                          "h": pa.array(hh, pa.string())})
 
     covered = semi_join_filter(
-        ds.map_batches(window_rows, batch_format="pyarrow"), hot, "h",
+        ds.map_batches(window_rows, batch_format="pyarrow"), hot, "h"
     )
 
     def pos_lists(group: pa.Table) -> pa.Table:

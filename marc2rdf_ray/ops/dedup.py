@@ -694,9 +694,7 @@ def incremental_dedup(
         state = rd.read_parquet(
             prior_files, columns=["content_hash"], filesystem=fs
         )
-        window = anti_join_filter(
-            window, state, "content_hash",
-        )
+        window = anti_join_filter(window, state, "content_hash")
 
     kept = window.materialize()
     if not committed:
@@ -1471,22 +1469,18 @@ def incremental_minhash_dedup(
         state = rd.read_parquet(
             prior_files, columns=["bucket"], filesystem=fs
         )
-        hit_ids = semi_join_filter(
-            exploded, state, "bucket",
-        ).map_batches(
+        hit_ids = semi_join_filter(exploded, state, "bucket").map_batches(
             lambda b: pa.table({id_col: b[id_col]}),
             batch_format="pyarrow",
         )
         survivors = anti_join_filter(
-            survivors, distinct_first(hit_ids, id_col), id_col,
+            survivors, distinct_first(hit_ids, id_col), id_col
         )
     survivors = distinct_first(survivors, id_col).materialize()
 
     if not committed:
         fsio.rmtree(fs, win_dir)
-        kept_rows = semi_join_filter(
-            exploded, survivors, id_col,
-        )
+        kept_rows = semi_join_filter(exploded, survivors, id_col)
         kept_rows.write_parquet(win_dir, filesystem=fs)
         # all-survivors-dropped window: write_parquet creates no dir
         # (same guard as incremental_dedup)

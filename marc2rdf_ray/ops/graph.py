@@ -878,7 +878,7 @@ def kcore(
 
         cur = semi_join_filter(
             semi_join_filter(
-                cur, surv, "u", keys_col="node",
+                cur, surv, "u", keys_col="node"
             ).map_batches(swap, batch_format="pyarrow"),
             surv,
             "u",
@@ -2707,9 +2707,7 @@ def negative_samples(
 
     cand = nodes_ds.map_batches(cands, batch_format="pyarrow")
     keys = edges_ds.map_batches(edge_keys, batch_format="pyarrow")
-    kept = anti_join_filter(
-        cand, keys, "pk"
-    )
+    kept = anti_join_filter(cand, keys, "pk")
     return kept.map_batches(
         lambda b: b.select(["src", "neg_dst"]), batch_format="pyarrow"
     )
@@ -4524,9 +4522,7 @@ def greedy_matching(
                 lambda b: pa.table({"u": b["v"]}), batch_format="pyarrow"
             )
         )
-        live = anti_join_filter(
-            live, matched_nodes, "u"
-        )
+        live = anti_join_filter(live, matched_nodes, "u")
         live = anti_join_filter(
             live,
             matched_nodes.map_batches(
@@ -4967,9 +4963,7 @@ def onion_layers(
                 batch_format="pyarrow",
             )
         else:
-            peeled = anti_join_filter(
-                prev_surv, surv, "node",
-            )
+            peeled = anti_join_filter(prev_surv, surv, "node")
         stamped = peeled.map_batches(stamp(r), batch_format="pyarrow")
         out = stamped if out is None else out.union(stamped)
         prev_surv = surv
@@ -4982,7 +4976,7 @@ def onion_layers(
 
         cur = semi_join_filter(
             semi_join_filter(
-                cur, surv, "u", keys_col="node",
+                cur, surv, "u", keys_col="node"
             ).map_batches(swap, batch_format="pyarrow"),
             surv,
             "u",
