@@ -186,11 +186,7 @@ def _mat_table(ds) -> pa.Table:
     rows) to one driver Arrow table.  Unbudgeted by design -- callers
     must only pass sides that are small by schema, not by data volume;
     data-dependent sides go through ``plan.small_side``."""
-    import ray
-
-    return pa.concat_tables(
-        ray.get(ds.materialize().to_arrow_refs()), promote_options="default"
-    )
+    return plan.gather(ds.materialize())
 
 
 # -- KG queries ------------------------------------------------------------

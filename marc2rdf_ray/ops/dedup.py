@@ -968,9 +968,8 @@ def setsim_join_exact(
     )
 
     # ---- postings with df attached (broadcast-or-join) ----------------
-    path, df_ds = plan.choose("setsim_join_exact", df_ds)
-    if path == "broadcast":
-        df_tab = plan.gather(df_ds)
+    df_tab, df_ds = plan.small_side("setsim_join_exact", df_ds)
+    if df_tab is not None:
         vocab = np.asarray(df_tab["tok"].to_pylist())
         dfs = df_tab["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(vocab, kind="stable")

@@ -500,9 +500,8 @@ def triangle_count(
         .materialize()
     )
 
-    path, deg_ds = plan.choose("triangle_count", deg_ds)
-    if path == "broadcast":
-        deg_tbl = plan.gather(deg_ds)
+    deg_tbl, deg_ds = plan.small_side("triangle_count", deg_ds)
+    if deg_tbl is not None:
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")  # searchsorted needs order
@@ -1639,8 +1638,8 @@ def common_neighbors_topk(
                 }
             )
 
-        path, deg_ds = plan.choose("common_neighbors_topk", deg_ds)
-        if path == "join":
+        deg_tbl, deg_ds = plan.small_side("common_neighbors_topk", deg_ds)
+        if deg_tbl is None:
             from .dedup import normalize_join_blocks
 
             nparts = max(2, num_buckets // 4)
@@ -1688,7 +1687,6 @@ def common_neighbors_topk(
                 batch_format="pyarrow",
             )
         else:
-            deg_tbl = plan.gather(deg_ds)
             nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
             degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -2125,9 +2123,8 @@ def clustering_coefficient(
         .materialize()
     )
 
-    path, deg_ds = plan.choose("clustering_coefficient", deg_ds)
-    if path == "broadcast":
-        deg_tbl = plan.gather(deg_ds)
+    deg_tbl, deg_ds = plan.small_side("clustering_coefficient", deg_ds)
+    if deg_tbl is not None:
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -2543,8 +2540,8 @@ def avg_neighbor_degree(
         .materialize()
     )
 
-    path, deg_ds = plan.choose("avg_neighbor_degree", deg_ds)
-    if path == "join":
+    deg_tbl, deg_ds = plan.small_side("avg_neighbor_degree", deg_ds)
+    if deg_tbl is None:
         logger.warning(
             "avg_neighbor_degree: degree table over budget; join fallback"
         )
@@ -2580,7 +2577,6 @@ def avg_neighbor_degree(
             withdeg2.map_batches(sums_joined2, batch_format="pyarrow")
         )
     else:
-        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -2606,7 +2602,7 @@ def avg_neighbor_degree(
 
     merged = partials.groupby("node").aggregate(Sum("s", alias_name="s"))
 
-    if path == "broadcast":
+    if deg_tbl is not None:
         def finish(b: pa.Table) -> pa.Table:
             d = ray.get(deg_ref)
             node = b["node"].to_numpy(zero_copy_only=False)
@@ -2825,8 +2821,8 @@ def assortativity(
             }
         )
 
-    path, deg_ds = plan.choose("assortativity", deg_ds)
-    if path == "join":
+    deg_tbl, deg_ds = plan.small_side("assortativity", deg_ds)
+    if deg_tbl is None:
         logger.warning(
             "assortativity: degree table over budget; join fallback"
         )
@@ -2862,7 +2858,6 @@ def assortativity(
 
         partials = j2.map_batches(partial_joined, batch_format="pyarrow")
     else:
-        deg_tbl = plan.gather(deg_ds)
         nodes_np = deg_tbl["node"].to_numpy(zero_copy_only=False)
         degs_np = deg_tbl["deg"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -2981,9 +2976,8 @@ def sssp_weighted(
     ).materialize()
 
     for _ in range(rounds):
-        path, dists = plan.choose("sssp_weighted", dists)
-        if path == "broadcast":
-            tab = plan.gather(dists)
+        tab, dists = plan.small_side("sssp_weighted", dists)
+        if tab is not None:
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             dist_np = tab["dist"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3218,9 +3212,8 @@ def ktruss(
             .aggregate(Sum("deg", alias_name="deg"))
             .materialize()
         )
-        path, deg_ds = plan.choose("ktruss", deg_ds)
-        if path == "broadcast":
-            t = plan.gather(deg_ds)
+        t, deg_ds = plan.small_side("ktruss", deg_ds)
+        if t is not None:
             nodes_np = t["node"].to_numpy(zero_copy_only=False)
             degs_np = t["deg"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3522,9 +3515,8 @@ def random_walks(
         batch_format="pyarrow",
     )
 
-    path, adj = plan.choose("random_walks", adj)
-    if path == "broadcast":
-        tab = plan.gather(adj)
+    tab, adj = plan.small_side("random_walks", adj)
+    if tab is not None:
         n_np = tab["node"].to_numpy(zero_copy_only=False)
         i_np = tab["idx"].to_numpy(zero_copy_only=False)
         if len(n_np) and (n_np.min() < 0 or n_np.max() >= 1 << 43
@@ -3745,22 +3737,21 @@ def temporal_reachability(
     # with the same int64 math (parity-tested in
     # tests/test_graph_local_parity.py).
     path, ew = plan.choose("temporal_reachability", ew, "one_task_slim")
-    seeds_path, arrivals = plan.choose("temporal_reachability.seeds",
+    if path == "one_task":
+        st, arrivals = plan.small_side("temporal_reachability.seeds",
                                        arrivals)
-    if path == "one_task" and seeds_path == "broadcast":
-        st = plan.gather(arrivals)
-        seeds_np = (
-            st["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if st.num_rows else np.array([], np.int64)
-        )
-        return plan.run_in_one_task(
-            ew, lambda g: _temporal_solve_local(g, seeds_np, rounds)
-        )
+        if st is not None:
+            seeds_np = (
+                st["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+                if st.num_rows else np.array([], np.int64)
+            )
+            return plan.run_in_one_task(
+                ew, lambda g: _temporal_solve_local(g, seeds_np, rounds)
+            )
 
     for _ in range(rounds):
-        path, arrivals = plan.choose("temporal_reachability", arrivals)
-        if path == "broadcast":
-            tab = plan.gather(arrivals)
+        tab, arrivals = plan.small_side("temporal_reachability", arrivals)
+        if tab is not None:
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             arr_np = tab["arrival"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -3983,9 +3974,8 @@ def boruvka_msf(
     r = 0
     while rounds is None or r < rounds:
         r += 1
-        path, comp = plan.choose("boruvka_msf", comp)
-        if path == "broadcast":
-            tab = plan.gather(comp)
+        tab, comp = plan.small_side("boruvka_msf", comp)
+        if tab is not None:
             nodes_np = tab["node"].to_numpy(zero_copy_only=False)
             comp_np = tab["comp"].to_numpy(zero_copy_only=False)
             o = np.argsort(nodes_np, kind="stable")
@@ -4111,9 +4101,8 @@ def boruvka_msf(
             cc = connected_components(cc_edges, rounds=20, doubling=True)
         cc = cc.materialize()
 
-        path, cc = plan.choose("boruvka_msf", cc)
-        if path == "broadcast":
-            cct = plan.gather(cc)
+        cct, cc = plan.small_side("boruvka_msf", cc)
+        if cct is not None:
             old = cct["node"].to_numpy(zero_copy_only=False).astype(np.int64)
             new = cct["root"].to_numpy(zero_copy_only=False).astype(np.int64)
             o = np.argsort(old, kind="stable")
@@ -4210,9 +4199,9 @@ def connected_components_incremental(labels_ds, new_edges_ds):
     from .dedup import distinct_first
 
     # relabel new edges through the old labeling
-    path, labels = plan.choose("connected_components_incremental", labels_ds)
-    if path == "broadcast":
-        tab = plan.gather(labels)
+    tab, labels = plan.small_side("connected_components_incremental",
+                                  labels_ds)
+    if tab is not None:
         nodes_np = tab["node"].to_numpy(zero_copy_only=False)
         roots_np = tab["root"].to_numpy(zero_copy_only=False)
         o = np.argsort(nodes_np, kind="stable")
@@ -4311,9 +4300,8 @@ def connected_components_incremental(labels_ds, new_edges_ds):
 
     # compose: old labeling through the contracted relabeling, plus any
     # brand-new nodes the old labeling never covered
-    path, cc = plan.choose("connected_components_incremental", cc)
-    if path == "broadcast":
-        cct = plan.gather(cc)
+    cct, cc = plan.small_side("connected_components_incremental", cc)
+    if cct is not None:
         old = cct["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         new = cct["root"].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(old, kind="stable")
@@ -5099,9 +5087,8 @@ def node2vec_walks(
         batch_format="pyarrow",
     )
 
-    path, adj = plan.choose("node2vec_walks", adj)
-    if path == "broadcast":
-        tab = plan.gather(adj)
+    tab, adj = plan.small_side("node2vec_walks", adj)
+    if tab is not None:
         n_np = tab["node"].to_numpy(zero_copy_only=False)
         v_np = tab["nbr"].to_numpy(zero_copy_only=False)
         if len(n_np) and (
@@ -5626,9 +5613,8 @@ def scc(
     def attach(ds, map_ds, key, out_name):
         """Annotate ds[key] with the color from map_ds (node, color):
         broadcast lookup under budget, distributed join above."""
-        path, mat = plan.choose("scc", map_ds)
-        if path == "broadcast":
-            tab = plan.gather(mat)
+        tab, mat = plan.small_side("scc", map_ds)
+        if tab is not None:
             if not tab.num_rows:
                 return ds.map_batches(
                     lambda b: b.append_column(
@@ -6001,8 +5987,7 @@ def scc(
     )
 
     # broadcast-or-join relabel of roots to component minima
-    path, mat = plan.choose("scc", mins)
-    tab = plan.gather(mat) if path == "broadcast" else None
+    tab, mins = plan.small_side("scc", mins)
     if tab is not None and tab.num_rows:
         nd = tab["node"].to_numpy(zero_copy_only=False)
         cl = tab["color"].to_numpy(zero_copy_only=False)
@@ -6083,9 +6068,8 @@ def scc_condensation(edges, labels_ds):
         edges.map_batches(canon, batch_format="pyarrow"), "pk"
     ).drop_columns(["pk"])
 
-    path, lab = plan.choose("scc_condensation", labels_ds)
-    if path == "broadcast":
-        tab = plan.gather(lab)
+    tab, lab = plan.small_side("scc_condensation", labels_ds)
+    if tab is not None:
         nd = tab["node"].to_numpy(zero_copy_only=False)
         sc = tab["scc"].to_numpy(zero_copy_only=False)
         order = np.argsort(nd)
@@ -6598,9 +6582,8 @@ def pagerank_weighted(
 
     # attach wout to edges once (broadcast-or-join)
     def attach_map(ds, mat, key, valcol, out_name):
-        path, mat = plan.choose("pagerank_weighted", mat)
-        if path == "broadcast":
-            tab = plan.gather(mat)
+        tab, mat = plan.small_side("pagerank_weighted", mat)
+        if tab is not None:
             nd = tab["node"].to_numpy(zero_copy_only=False)
             vl = tab[valcol].to_numpy(zero_copy_only=False)
             order = np.argsort(nd)

@@ -35,17 +35,11 @@ kind                budget   why
 ``one_task_slim``   256 MiB  Solvers over a slim int64 edge list whose
                              state is a few arrays linear in the edges:
                              Boruvka, temporal relaxation, greedy
-                             matching, DAG layers.  Twice ``one_task``
-                             because their state is about the input's
-                             size, not a multiple of it.
-``one_task_cc``     256 MiB  connected_components_local's hashmin
-                             fixpoint, the same slim-state shape.  Its
-                             own kind because Boruvka, incremental CC
-                             and the corpus near-dup stage contract
-                             through it: their contraction inputs
-                             shrink geometrically and stay one task
-                             even when the operator itself runs its
-                             rounds.
+                             matching, DAG layers, and
+                             connected_components_local's hashmin
+                             fixpoint.  Twice ``one_task`` because
+                             their state is about the input's size,
+                             not a multiple of it.
 ``one_task_wedges``  64 MiB  clustering_coefficient's one-task solve
                              lists every wedge in memory (O(m^1.5)
                              rows), so it takes half of ``one_task``.
@@ -55,7 +49,9 @@ kind                budget   why
 ==================  =======  ==========================================
 
 Paths: a ``broadcast`` kind picks ``broadcast`` or ``join``; a
-``one_task*`` kind picks ``one_task`` or ``rounds``.
+``one_task*`` kind picks ``one_task`` or ``rounds``.  Broadcast sites
+call :func:`small_side` (the gathered table, or ``None`` to join);
+one-task sites call :func:`choose` and :func:`run_in_one_task`.
 
 The two executions the operators share live here too: :func:`gather`
 pulls a small side into one Arrow table (for ``ray.put``), and
@@ -75,13 +71,12 @@ BUDGETS: dict[str, int] = {
     "broadcast": 256 << 20,
     "one_task": 128 << 20,
     "one_task_slim": 256 << 20,
-    "one_task_cc": 256 << 20,
     "one_task_wedges": 64 << 20,
     "one_task_python": 8 << 20,
 }
 
 
-def choose(op: str, ds, kind: str = "broadcast"):
+def choose(op: str, ds, kind: str):
     """``(path, materialized ds)`` for ``op``'s side ``ds`` under the
     ``kind`` budget read from :data:`BUDGETS` now; logs the decision
     once at INFO."""

@@ -553,9 +553,8 @@ def running_totals(
 
     out_cols = ["event_id", "user_id", "ts_us", "running_cnt",
                 "running_cents"]
-    path, offs = plan.choose("running_totals", offs)
-    if path == "broadcast":
-        tab = plan.gather(offs)
+    tab, offs = plan.small_side("running_totals", offs)
+    if tab is not None:
         if not tab.num_rows:
             tab = pa.table({"user_id": [], "seg": [], "off_n": [],
                             "off_v": []})

@@ -534,7 +534,7 @@ def _cc_numpy(src: np.ndarray, dst: np.ndarray):
 
 def connected_components_local(edges_ds):
     """CONVERGED connected components for edge sets small enough to fit
-    one task (the plan's ``one_task_cc`` budget, ops/plan.py): ONE
+    one task (the plan's ``one_task_slim`` budget, ops/plan.py): ONE
     worker task runs the vectorized in-memory hashmin (:func:`_cc_numpy`)
     -- zero shuffle rounds, exact fixpoint regardless of diameter.
     Returns the (node, root) Dataset, or ``None`` when the plan picks the
@@ -546,7 +546,7 @@ def connected_components_local(edges_ds):
     2 shuffles x rounds of fixed exchange cost to propagate labels
     through a few million pairs is pure overhead."""
     path, mat = plan.choose("connected_components_local", edges_ds,
-                            "one_task_cc")
+                            "one_task_slim")
     if path == "rounds":
         return None
 

@@ -5,6 +5,7 @@ distributed branch -- including the join-based over-budget paths -- so
 this doubles as their coverage."""
 
 import hashlib
+import logging
 
 import numpy as np
 import pyarrow as pa
@@ -44,18 +45,31 @@ def _rows(ds):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_boruvka_local_equals_distributed(plan_budgets):
+def test_boruvka_local_equals_distributed(plan_budgets, caplog):
     from marc2rdf_ray.ops.graph import boruvka_msf
 
     edges, nodes = _graph(120)
     local = boruvka_msf(edges, nodes, rounds=2)
     edges2, nodes2 = _graph(120)
-    # a zero one_task_slim budget forces the distributed rounds while
-    # keeping the broadcast attach (the normal at-scale shape); the full
-    # join path is exercised separately by matching/temporal below.
-    plan_budgets(one_task_slim=0)
-    dist = boruvka_msf(edges2, nodes2, rounds=2)
-    assert _rows(local) == _rows(dist)
+    # the at-scale shape: the weighted edge list (~4.3 KB here) is over
+    # the one_task_slim budget, so Boruvka runs its distributed rounds
+    # with the broadcast attach, while each contraction's component-pair
+    # list (<= 120 pairs, <= 1.9 KB) still fits it and stays one task.
+    # The full join path is exercised separately by matching/temporal.
+    plan_budgets(one_task_slim=4096)
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.plan"):
+        dist = _rows(boruvka_msf(edges2, nodes2, rounds=2))
+    paths = {
+        (f["op"], f["path"])
+        for f in (
+            dict(kv.split("=", 1) for kv in r.getMessage().split()[1:])
+            for r in caplog.records if r.name == "marc2rdf_ray.plan"
+        )
+    }
+    assert ("boruvka_msf", "rounds") in paths
+    assert ("connected_components_local", "one_task") in paths
+    assert ("connected_components_local", "rounds") not in paths
+    assert _rows(local) == dist
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -3075,7 +3075,7 @@ class TestLocalCC:
                 }
             )
         )
-        plan_budgets(one_task_cc=0)
+        plan_budgets(one_task_slim=0)
         assert connected_components_local(edges) is None
 
     def test_local_cc_string_nodes(self, ray_session):
