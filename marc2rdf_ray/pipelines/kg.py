@@ -481,13 +481,14 @@ def run_kg_pipeline(
     input keeps the unsplit checkpoint and is sized from its rows (and the
     staged closure's) times ``PAGES_BYTES_PER_RAW_ROW``.  One INFO
     line per run names P, S, the bytes behind them, which stages were
-    reused and, when it extracted, the pages read's block count and the
-    CPU count behind it.
+    reused, when it extracted, the pages read's block count and the
+    CPU count behind it, and each pass's read task count with its
+    heaviest task's bytes over the mean.
     """
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ..sources.incremental import two_blocks_per_cpu
+    from ..sources.incremental import balanced_read_order, two_blocks_per_cpu
     from ..stages.materialize import plan_passes
     from ..state.manifest import (
         input_signature,
@@ -546,21 +547,6 @@ def run_kg_pipeline(
             in_bytes, num_partitions, config.materialize_shards
         )
     num_partitions, shards = layout
-    if raw.reused:
-        ckpt_how = "reused ("
-    elif raw.read_blocks:
-        ckpt_how = "extracted (read_blocks=%d for cpus=%d, " % raw.read_blocks
-    else:
-        ckpt_how = "extracted (input blocks, "
-    logger.info(
-        "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %slayout "
-        "%s); sameAs closure %s",
-        num_partitions, shards,
-        "pages" if input_paths else "ckpt rows x %d" % PAGES_BYTES_PER_RAW_ROW,
-        in_bytes, ckpt_how,
-        "P,S=%d,%d" % raw.layout if raw.layout else "pk only",
-        "reused" if sameas_reused else "staged",
-    )
 
     # coalesce at the READ (2 blocks/CPU): the sort exchange creates
     # #blocks x #partitions objects, and thousands of tiny checkpoint
@@ -571,10 +557,20 @@ def run_kg_pipeline(
     # Single linear chain into materialize: read -> prep -> sort -> write,
     # exactly one all-to-all, no multi-input operators.
     nblocks, ncpu = two_blocks_per_cpu(8)
+    pass_reads = []  # bytes of each read task, per read
 
     def read(files, num_blocks):
-        # an empty file list falls back to the whole checkpoint: the
-        # pass's range filter keeps that correct
+        # Every materialize read lists its files in byte-balanced order:
+        # Ray splits the list into equal-COUNT contiguous groups, and a
+        # pass's list (large pk=0 extraction files, then tiny pk=1 and
+        # sameAs files) would otherwise give one read task most of the
+        # pass's rows while the other CPUs idle (balanced_read_order).
+        # An empty file list falls back to the whole checkpoint: the
+        # pass's range filter keeps that correct.
+        files, task_bytes = balanced_read_order(
+            fs, files or ckpt_files, num_blocks
+        )
+        pass_reads.append(task_bytes)
         return rd.read_parquet(
             files or [ckpt],
             columns=TRIPLE_COLS,
@@ -603,6 +599,30 @@ def run_kg_pipeline(
     else:
         # unsplit, or laid out for another plan: every pass reads it all
         edges = read(ckpt_files + sameas_files, nblocks)
+        pass_reads *= shards
+
+    if raw.reused:
+        ckpt_how = "reused ("
+    elif raw.read_blocks:
+        ckpt_how = "extracted (read_blocks=%d for cpus=%d, " % raw.read_blocks
+    else:
+        ckpt_how = "extracted (input blocks, "
+    tasks = [len(b) for b in pass_reads]
+    logger.info(
+        "kg: partitions=%d shards=%d from %s bytes=%d; checkpoint %slayout "
+        "%s); sameAs closure %s; pass reads %s tasks, max/mean bytes %s",
+        num_partitions, shards,
+        "pages" if input_paths else "ckpt rows x %d" % PAGES_BYTES_PER_RAW_ROW,
+        in_bytes, ckpt_how,
+        "P,S=%d,%d" % raw.layout if raw.layout else "pk only",
+        "reused" if sameas_reused else "staged",
+        "%d x %d" % (shards, tasks[0]) if len(set(tasks)) == 1
+        else ",".join(map(str, tasks)),
+        ",".join(
+            "%.2f" % (max(b) * len(b) / sum(b)) if sum(b) else "-"
+            for b in pass_reads
+        ),
+    )
     return materialize_graph(
         edges,
         out_dir,

@@ -45,6 +45,48 @@ def two_blocks_per_cpu(at_least: int = 0) -> tuple[int, int]:
     return max(at_least, 2 * cpus), cpus
 
 
+def byte_balanced_groups(sizes: list[int], num_groups: int) -> list[list[int]]:
+    """Indices of ``sizes`` in ``num_groups`` groups with the lengths of
+    ``np.array_split``'s chunks, filled largest first, each into the
+    lightest group that has room (ties to the lower index), so the groups'
+    byte sums come out about equal.  Deterministic for given sizes."""
+    import numpy as np
+
+    caps = [len(c) for c in np.array_split(np.arange(len(sizes)), num_groups)]
+    groups: list[list[int]] = [[] for _ in caps]
+    loads = [0] * len(caps)
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+        g = min(
+            (g for g in range(len(caps)) if len(groups[g]) < caps[g]),
+            key=lambda g: (loads[g], g),
+        )
+        groups[g].append(i)
+        loads[g] += sizes[i]
+    return groups
+
+
+def balanced_read_order(
+    fs, files: list[str], num_blocks: int
+) -> tuple[list[str], list[int]]:
+    """``files`` ordered for ``read_parquet(..., override_num_blocks=
+    num_blocks)``, and the bytes each of its read tasks then reads.
+
+    Ray's parquet read splits its file list into ``num_blocks``
+    contiguous groups of equal file COUNT, one read task each
+    (``np.array_split`` in ``ParquetDatasource.get_read_tasks``, Ray
+    2.49).  A checkpoint list of a few large extraction files, then
+    tiny pk=1 and sameAs files, would give one task most of the bytes;
+    listing :func:`byte_balanced_groups` one group after another gives
+    every task about the same bytes instead.  The sizes come from one
+    batched stat (``fsio.file_sizes``)."""
+    from ..state import fsio
+
+    sizes = fsio.file_sizes(fs, files)
+    groups = byte_balanced_groups(sizes, num_blocks)
+    order = [files[i] for g in groups for i in g]
+    return order, [sum(sizes[i] for i in g) for g in groups if g]
+
+
 def pages_read_blocks(files: list[str]) -> tuple[int, int]:
     """``(blocks, cpus)`` for reading the pages ``files`` to extract them,
     one task per block: :func:`two_blocks_per_cpu`, at least one per file,

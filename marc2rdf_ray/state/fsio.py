@@ -126,12 +126,14 @@ def write_text_atomic(fs, path: str, text: str) -> None:
     write_bytes_atomic(fs, path, text.encode())
 
 
-def file_sizes(fs, paths: list[str]) -> int:
-    total = 0
-    for i in fs.get_file_info(paths):
-        if i.type == pafs.FileType.File and i.size is not None:
-            total += i.size
-    return total
+def file_sizes(fs, paths: list[str]) -> list[int]:
+    """Byte size of each of ``paths`` on ``fs``, in order, from one
+    batched ``get_file_info`` call (one round trip on an object store);
+    a missing entry counts 0."""
+    return [
+        i.size if i.type == pafs.FileType.File and i.size is not None else 0
+        for i in fs.get_file_info(paths)
+    ]
 
 
 def total_size(paths: list[str], filesystem=None) -> int:
@@ -139,8 +141,8 @@ def total_size(paths: list[str], filesystem=None) -> int:
     count 0) -- the shared input-size estimator for shard sizing
     (stages/materialize.choose_shards callers).  Resolves each path
     independently so mixed local/URI lists work; pass ``filesystem`` to
-    stat them all through one FS (object stores: prefer batching via
-    file_sizes when the FS is already resolved)."""
+    stat them all through one FS (object stores: when the FS is already
+    resolved, ``sum(file_sizes(fs, paths))`` stats them in one batch)."""
     total = 0
     for p in paths:
         try:

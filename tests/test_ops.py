@@ -272,6 +272,55 @@ class TestCanonicalizeExtras:
         assert roots["d"] == roots["e"] == "d"
         assert roots["f"] == "f"
 
+    def test_connected_components_stops_at_fixpoint(
+        self, ray_session, caplog, monkeypatch
+    ):
+        """``rounds`` is a cap: an 8-node chain under ``rounds=20`` stops
+        once a round leaves the labels unchanged, a few rounds in, with
+        the labels of the full 19 rounds."""
+        import itertools
+        import logging
+        import re
+
+        import ray.data as rd
+
+        from marc2rdf_ray.stages import canonicalize
+
+        edges = rd.from_items(
+            [{"subj": f"n{i}", "obj": f"n{i + 1}"} for i in range(7)]
+        )
+        with caplog.at_level(
+            logging.INFO, logger="marc2rdf_ray.stages.canonicalize"
+        ):
+            early = canonicalize.connected_components(edges, rounds=20)
+            early = early.to_pandas()
+        ran = re.findall(r"fixpoint after (\d+) of 19 rounds", caplog.text)
+        assert len(ran) == 1 and int(ran[0]) <= 5, caplog.text
+        # the full run: fingerprints that never repeat
+        fresh = itertools.count()
+        monkeypatch.setattr(
+            canonicalize, "_label_fingerprint", lambda ds: next(fresh)
+        )
+        full = canonicalize.connected_components(edges, rounds=20).to_pandas()
+        assert sorted(zip(early["node"], early["root"])) == sorted(
+            zip(full["node"], full["root"])
+        )
+        assert set(early["root"]) == {"n0"} and len(early) == 8
+
+    def test_label_fingerprint_sees_moved_labels(self, ray_session):
+        """The fingerprint ignores how the rows are split into blocks but
+        changes when two nodes swap labels."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from marc2rdf_ray.stages.canonicalize import _label_fingerprint
+
+        t = pa.table({"node": ["a", "b", "c"], "label": ["x", "y", "x"]})
+        swapped = pa.table({"node": ["a", "b", "c"], "label": ["y", "x", "x"]})
+        fp = _label_fingerprint(rd.from_arrow(t))
+        assert _label_fingerprint(rd.from_arrow([t.slice(0, 1), t.slice(1)])) == fp
+        assert _label_fingerprint(rd.from_arrow(swapped)) != fp
+
     def test_salted_group_distinct_matches_plain(self, ray_session):
         import ray.data as rd
 

@@ -164,6 +164,109 @@ def test_pages_read_blocks_bounded_by_size(ray_session, tmp_path):
     assert pages_read_blocks(files(12, 2 * floor)) == (12, 4)
 
 
+def test_byte_balanced_groups_even_a_skewed_checkpoint_list():
+    """The balancer keeps ``np.array_split``'s group lengths (so Ray's
+    equal-count split of the reordered list lands on its groups) and
+    evens their bytes: a pass's list of 9 large extraction files (one a
+    short last block), 9 tiny pk=1 files and 8 small sameAs files, in 4
+    groups, is within 10% of the mean bytes per group, where the listed
+    order puts 63% of the bytes in one group.  Same input, same output."""
+    import numpy as np
+
+    from marc2rdf_ray.sources.incremental import byte_balanced_groups
+
+    sizes = (
+        [120255, 111730, 126205, 124430, 119926, 121006, 122197, 117063, 5768]
+        + [17404, 17376, 18351, 18085, 17591, 17887, 17952, 17365, 3257]
+        + [11450, 16510, 22116, 23274, 27830, 33524, 39494, 48946]
+    )
+    mean = sum(sizes) / 4
+    listed = [sum(c) for c in np.array_split(sizes, 4)]
+    assert max(listed) / sum(sizes) > 0.6
+    groups = byte_balanced_groups(sizes, 4)
+    assert [len(g) for g in groups] == [
+        len(c) for c in np.array_split(np.arange(len(sizes)), 4)
+    ]
+    assert sorted(i for g in groups for i in g) == list(range(len(sizes)))
+    loads = [sum(sizes[i] for i in g) for g in groups]
+    assert max(abs(x - mean) for x in loads) <= 0.1 * mean, loads
+    assert byte_balanced_groups(sizes, 4) == groups
+    # more groups than files: array_split's empty groups stay empty
+    assert byte_balanced_groups([5, 1, 3], 5) == [[0], [2], [1], [], []]
+
+
+def test_balanced_read_order_evens_ray_read_blocks(ray_session, tmp_path):
+    """Read through ``balanced_read_order`` in 4 blocks, parquet files of
+    mixed size (large ones listed first, as in a checkpoint pass) give
+    every block within 1.5x of the mean rows; the listed order does not
+    (Ray splits a file list into equal-COUNT contiguous groups).  A Ray
+    upgrade that changes how the read splits its files fails here."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from marc2rdf_ray.sources.incremental import balanced_read_order
+    from marc2rdf_ray.state import fsio
+
+    rows = [3000] * 8 + [150] + [60] * 9 + [200, 300, 400, 500] * 2
+    files = []
+    for i, n in enumerate(rows):
+        f = str(tmp_path / f"{i:02d}.parquet")
+        pq.write_table(
+            pa.table({"v": [f"row {i} {j:06d}" for j in range(n)]}), f
+        )
+        files.append(f)
+    fs, _ = fsio.resolve_fs(str(tmp_path))
+
+    def block_rows(order):
+        ds = rd.read_parquet(order, override_num_blocks=4).materialize()
+        return [t.num_rows for t in ray.get(ds.to_arrow_refs())]
+
+    sizes = [os.path.getsize(f) for f in files]
+    missing = str(tmp_path / "missing.parquet")
+    assert fsio.file_sizes(fs, files + [missing]) == sizes + [0]
+    order, task_bytes = balanced_read_order(fs, files, 4)
+    assert sorted(order) == files and len(task_bytes) == 4
+    assert sum(task_bytes) == sum(sizes)
+    mean = sum(rows) / 4
+    balanced = block_rows(order)
+    assert sum(balanced) == sum(rows) and len(balanced) == 4
+    assert max(balanced) <= 1.5 * mean and min(balanced) >= mean / 1.5, (
+        balanced
+    )
+    assert max(block_rows(files)) > 1.5 * mean
+
+
+def test_kg_info_line_names_pass_read_tasks(
+    ray_session, pages_dir, tmp_path, caplog
+):
+    """The run's INFO line names each pass's read task count and its
+    heaviest task's bytes over the mean: a checkpoint laid out for 2
+    passes is read in one block per CPU per pass; read under another
+    plan (3 passes) every pass reads it all in 2 blocks per CPU.  None of
+    it reaches the manifest's run identity."""
+    import logging
+    import re
+
+    from marc2rdf_ray.pipelines.kg import run_kg_pipeline
+
+    out = str(tmp_path / "graph")
+    with caplog.at_level(logging.INFO, logger="marc2rdf_ray.pipelines.kg"):
+        m = run_kg_pipeline(pages_dir, out, PipelineConfig(materialize_shards=2))
+        _drop_graph(out)
+        run_kg_pipeline(pages_dir, out, PipelineConfig(materialize_shards=3))
+    reads = re.findall(
+        r"; pass reads (\d+) x (\d+) tasks, max/mean bytes ([\d.,]+)$",
+        caplog.text,
+        re.M,
+    )
+    assert [r[:2] for r in reads] == [("2", "4"), ("3", "8")]
+    ratios = [[float(x) for x in r[2].split(",")] for r in reads]
+    assert [len(r) for r in ratios] == [2, 3]
+    assert all(1.0 <= x < 1.25 for r in ratios for x in r), ratios
+    assert m.extra == {"link": True}
+
+
 def test_window_dataset_input_extracts_like_the_path(
     ray_session, pages_dir, tmp_path, caplog
 ):
